@@ -268,8 +268,7 @@ fn serve_workload_proto(
 
 /// Concurrency axis of the serving plane: `clients` worker threads each
 /// stream `requests` batched predictions at full tilt against one daemon,
-/// under a chosen runtime (`shards == 0` → the legacy thread-per-connection
-/// server, `shards > 0` → the sharded reactor runtime) and wire protocol.
+/// with a chosen reactor shard count and wire protocol.
 /// The request sequence per worker is fixed, so the deterministic `serve.*`
 /// counters are exactly reproducible; throughput lands in the
 /// `bench.rows_per_sec` gauge.
@@ -411,17 +410,8 @@ pub fn workload_matrix() -> Vec<Workload> {
         64,
         WireProtocol::Binary,
     ));
-    // The concurrency axis: identical aggregate load through the legacy
-    // thread-per-connection runtime (JSON) and the sharded reactor runtime
-    // (binary) — the sustained rows/sec comparison between these two rows
-    // is the headline number for the sharded serving plane.
-    workloads.push(serve_concurrent_workload(
-        "serve_threads",
-        0,
-        WireProtocol::Json,
-        4,
-        24,
-    ));
+    // The concurrency axis: four binary clients against four reactor
+    // shards; sustained rows/sec lands in the `bench.rows_per_sec` gauge.
     workloads.push(serve_concurrent_workload(
         "serve_sharded",
         4,

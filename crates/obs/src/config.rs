@@ -42,15 +42,16 @@ pub const ENV_SERVE_ADDR: &str = "PATHREP_SERVE_ADDR";
 /// Maximum prediction requests coalesced into one batched kernel call by
 /// the `pathrep-serve` micro-batcher (default 32).
 pub const ENV_SERVE_BATCH: &str = "PATHREP_SERVE_BATCH";
-/// Bound on the `pathrep-serve` prediction queue; connections block
-/// (backpressure) once it is full (default 256).
+/// Bound in rows on each `pathrep-serve` shard's prediction queue; a
+/// request that would overfill a non-empty queue is shed with a typed
+/// `server overloaded` reply (default 256).
 pub const ENV_SERVE_QUEUE: &str = "PATHREP_SERVE_QUEUE";
 /// Capacity of the `pathrep-serve` LRU model-artifact cache (default 8).
 pub const ENV_SERVE_CACHE: &str = "PATHREP_SERVE_CACHE";
 /// Reactor shard count of the `pathrep-serve` daemon (registered here so
-/// the env-drift guard covers it): `0` or unset keeps the original
-/// thread-per-connection runtime; `N > 0` runs N readiness-loop shards
-/// with consistent-hash model routing.
+/// the env-drift guard covers it): unset means 1; `N > 0` runs N
+/// readiness-loop shards with consistent-hash model routing; `0` and
+/// garbage are rejected with a warning and fall back to 1.
 pub const ENV_SERVE_SHARDS: &str = "PATHREP_SERVE_SHARDS";
 /// Default wire protocol of `pathrep-client` hot-path requests (`json` or
 /// `binary`; registered here so the env-drift guard covers it). The

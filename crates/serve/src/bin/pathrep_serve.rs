@@ -6,11 +6,12 @@
 //! [--inject-panic N]`
 //! Environment: `PATHREP_SERVE_ADDR`, `PATHREP_SERVE_BATCH`,
 //! `PATHREP_SERVE_QUEUE`, `PATHREP_SERVE_CACHE`,
-//! `PATHREP_SERVE_WATCHDOG_MS` (see the README env table). `--addr`
+//! `PATHREP_SERVE_WATCHDOG_MS`, `PATHREP_SERVE_SHARDS` (see the README
+//! env table). `--addr`
 //! overrides the environment.
 //!
 //! The daemon installs the flight-recorder panic hook with exit code 101:
-//! a panic on any handler thread dumps the ring
+//! a panic on any daemon thread dumps the ring
 //! (`PATHREP_OBS_FLIGHT_DUMP`) and kills the whole process, instead of
 //! silently losing one thread. `--allow-fault` enables wire-level fault
 //! injection (`set_fault`) and `--inject-panic N` panics inside the Nth

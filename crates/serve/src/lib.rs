@@ -18,18 +18,19 @@
 //!   socket): every `f64` travels as its raw IEEE-754 bit pattern, so
 //!   the wire is bit-exact by construction, and batch payloads decode
 //!   in one pass into the fused kernel's row-major layout.
-//! * [`server`] — the daemon: thread-per-connection over `std::net`, a
-//!   bounded micro-batch queue that coalesces concurrent predictions for
-//!   the same model into one fused kernel (deterministic per-request
-//!   output regardless of batching), an LRU artifact cache, condvar
-//!   backpressure, and a clean drain on shutdown. No async runtime; the
-//!   numeric fan-out is the existing `pathrep-par` pool.
-//! * [`shard`] — the scale-out runtime (`PATHREP_SERVE_SHARDS=N`): N
-//!   reactor shards on the `pathrep-net` readiness loop, consistent-hash
-//!   routing of model ids to per-shard bounded queues (same-model
-//!   traffic batches locally), load-shedding instead of blocking when a
-//!   queue fills, and the same graceful drain. Replies stay bit-identical
-//!   to the offline predictor at any shard count or protocol.
+//! * [`server`] — the daemon's public face ([`Server`], [`ServerConfig`]):
+//!   configuration, an LRU artifact cache, lifetime statistics and the
+//!   control requests. No async runtime; the numeric fan-out is the
+//!   existing `pathrep-par` pool.
+//! * [`shard`] — the one serving runtime: `PATHREP_SERVE_SHARDS` reactor
+//!   shards (default 1) on the `pathrep-net` readiness loop, with
+//!   consistent-hash routing of model ids to per-shard bounded queues
+//!   whose batchers coalesce concurrent same-model predictions into one
+//!   fused kernel (deterministic per-request output regardless of
+//!   batching). A full queue sheds with a typed `server overloaded`
+//!   reply instead of blocking, and shutdown drains every accepted
+//!   request. Replies stay bit-identical to the offline predictor at any
+//!   shard count or protocol.
 //! * [`client`] — a blocking client used by `pathrep-client` and tests.
 //!   Requests carry the caller's [`pathrep_obs::trace::TraceContext`]
 //!   (backward-compatibly — old peers ignore it), so client and daemon
@@ -48,8 +49,8 @@
 //! artifact load.
 //!
 //! Failure-time forensics: the daemon binary installs the flight-recorder
-//! panic hook (dump then exit 101), the server runs a batcher-heartbeat
-//! stall watchdog, `dump_flight` requests pull the ring over the wire,
+//! panic hook (dump then exit 101), the server runs a per-shard
+//! batcher-heartbeat stall watchdog, `dump_flight` requests pull the ring over the wire,
 //! and `set_fault` (behind `--allow-fault`) lets gates inject sickness —
 //! see [`pathrep_obs::flight`] and `scripts/obs_gate.sh`.
 

@@ -1,35 +1,21 @@
-//! The batching prediction daemon.
+//! The batching prediction daemon: configuration, shared state and the
+//! public [`Server`] API.
 //!
-//! Architecture (all std::net + OS threads; the numeric fan-out reuses the
-//! `pathrep-par` pool inside [`MeasurementPredictor::predict_batch`]):
+//! [`Server::run`] drives the reactor runtime in [`crate::shard`]: an
+//! accept thread hands sockets to `shards` readiness-loop reactors (one by
+//! default), prediction rows route by model id to per-shard bounded
+//! queues, and one batcher per shard coalesces same-model rows into a
+//! single `MeasurementPredictor::predict_batch` call (the numeric
+//! fan-out reuses the `pathrep-par` pool). This module holds what every
+//! part of that runtime shares: the [`ServerConfig`] knobs, the LRU
+//! artifact cache, the lifetime [`ServerStats`] counters, and the answers
+//! to the control requests (`load_model`, `stats`, `dump_flight`,
+//! `set_fault`), which reactors serve inline.
 //!
-//! ```text
-//! accept loop ──> one handler thread per connection ──┐ push (blocks when full)
-//!                                                     v
-//!                        bounded micro-batch queue (Mutex + Condvar)
-//!                                                     │ drain ≤ batch_max,
-//!                                                     v grouped by model id
-//!                        batcher thread ── predict_batch ── per-request reply slots
-//! ```
-//!
-//! **Determinism.** The batcher may coalesce any subset of concurrent
-//! requests, but `predict_batch` computes every output row by exactly the
-//! floating-point sequence of a solo `predict` call, so each client's
-//! answer is bit-identical regardless of which requests happened to share
-//! a kernel invocation. `PredictBatch` enqueues one pending row per
-//! measurement vector — structurally the same as that many concurrent
-//! `Predict`s — so the two paths cannot diverge.
-//!
-//! **Backpressure.** The queue is bounded (`queue_cap`); handler threads
-//! block on a condvar until the batcher drains, so a flood of clients
-//! slows down instead of ballooning memory. **Shutdown** stops the accept
-//! loop, shuts down every live connection socket, drains the queue to
-//! empty and joins all threads — no request that was accepted is dropped.
-//!
-//! **Failure forensics.** The batcher stamps a heartbeat when it picks up
-//! and when it finishes a batch; a watchdog thread
+//! **Failure forensics.** Each shard batcher stamps a heartbeat when it
+//! picks up and when it finishes a batch; a watchdog thread
 //! (`PATHREP_SERVE_WATCHDOG_MS`, default 5 s) fires when rows are queued
-//! but the heartbeat has gone quiet past the deadline — warning, counting
+//! but a heartbeat has gone quiet past the deadline — warning, counting
 //! `serve.watchdog_fires` and dumping the always-on flight recorder
 //! ([`pathrep_obs::flight`]) so the stall's evidence is on disk while the
 //! stall is still live. `dump_flight` requests trigger the same dump on
@@ -37,18 +23,11 @@
 //! per-batch slowdown so gates can provoke breaches and stalls on purpose.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::binproto::{read_any_frame, BinRequest, BinResponse, WireFrame};
-use crate::protocol::{
-    write_frame, ProtocolError, Request, Response, ServerStats, TraceContext,
-};
-use pathrep_core::predictor::MeasurementPredictor;
-use pathrep_linalg::Matrix;
-use pathrep_obs::{config as obs_config, flight, ledger, trace};
-use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream};
+use crate::protocol::{Request, Response, ServerStats, TraceContext};
+use pathrep_obs::{config as obs_config, flight, ledger};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Trace ids the server mints for untraced (pre-trace-protocol) requests
@@ -83,13 +62,16 @@ pub struct ServerConfig {
     pub addr: String,
     /// Micro-batch flush size (`PATHREP_SERVE_BATCH`, default 32).
     pub batch_max: usize,
-    /// Bounded queue capacity (`PATHREP_SERVE_QUEUE`, default 256).
+    /// Per-shard bounded queue capacity in rows (`PATHREP_SERVE_QUEUE`,
+    /// default 256). A request that would overfill a non-empty queue is
+    /// shed with a typed `server overloaded` reply; a request arriving at
+    /// an empty queue is always admitted, however many rows it carries.
     pub queue_cap: usize,
     /// LRU model-cache capacity (`PATHREP_SERVE_CACHE`, default 8).
     pub cache_cap: usize,
     /// Stall-watchdog deadline in milliseconds
     /// (`PATHREP_SERVE_WATCHDOG_MS`, default 5000; `None`/`0` disables):
-    /// when prediction rows are queued but the batcher heartbeat has been
+    /// when prediction rows are queued but a batcher heartbeat has been
     /// quiet this long, the watchdog warns and dumps the flight recorder.
     pub watchdog_ms: Option<u64>,
     /// Whether `set_fault` requests are honoured (`--allow-fault`; the
@@ -99,10 +81,10 @@ pub struct ServerConfig {
     /// served (`--inject-panic N`; gate-only — proves the panic hook gets
     /// the flight dump onto disk with the dying request's trace id).
     pub inject_panic: Option<u64>,
-    /// Reactor shard count (`PATHREP_SERVE_SHARDS`, default 0). `0` keeps
-    /// the original thread-per-connection runtime; `N > 0` runs N
-    /// readiness-loop shards (see [`crate::shard`]) with consistent-hash
-    /// routing of model ids, so same-model requests batch locally.
+    /// Reactor shard count (`PATHREP_SERVE_SHARDS`, default 1; 0 is
+    /// treated as 1). Each shard is a readiness loop with its own batcher
+    /// (see [`crate::shard`]); model ids route to shards by consistent
+    /// hash, so same-model requests batch locally.
     pub shards: usize,
 }
 
@@ -116,7 +98,7 @@ impl Default for ServerConfig {
             watchdog_ms: Some(5000),
             allow_fault: false,
             inject_panic: None,
-            shards: 0,
+            shards: 1,
         }
     }
 }
@@ -125,21 +107,6 @@ fn env_usize(var: &str, default: usize) -> usize {
     match std::env::var(var) {
         Ok(v) if !v.trim().is_empty() => match v.trim().parse::<usize>() {
             Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("pathrep-serve: [warn] ignoring invalid {var}={v:?} (using {default})");
-                default
-            }
-        },
-        _ => default,
-    }
-}
-
-/// Like [`env_usize`] but 0 is a meaningful value (shard count 0 selects
-/// the thread-per-connection runtime).
-fn env_usize_zero_ok(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(v) if !v.trim().is_empty() => match v.trim().parse::<usize>() {
-            Ok(n) => n,
             _ => {
                 eprintln!("pathrep-serve: [warn] ignoring invalid {var}={v:?} (using {default})");
                 default
@@ -166,96 +133,8 @@ impl ServerConfig {
             watchdog_ms: obs_config::serve_watchdog_ms(),
             allow_fault: false,
             inject_panic: None,
-            shards: env_usize_zero_ok(obs_config::ENV_SERVE_SHARDS, d.shards),
+            shards: env_usize(obs_config::ENV_SERVE_SHARDS, d.shards),
         }
-    }
-}
-
-/// One queued prediction row awaiting the batcher.
-struct Pending {
-    model_id: String,
-    predictor: Arc<MeasurementPredictor>,
-    measured: Vec<f64>,
-    /// Span path of the requesting handler, adopted by the batch kernel
-    /// so pool time attributes under the request that triggered it.
-    parent_span: Option<String>,
-    /// Trace context of the requesting handler; the batch span inherits
-    /// the context of the request that opened the batch.
-    trace_ctx: Option<TraceContext>,
-    reply: mpsc::Sender<Result<Vec<f64>, String>>,
-}
-
-/// Bounded MPSC queue with condvar backpressure on both ends.
-struct BatchQueue {
-    inner: Mutex<VecDeque<Pending>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-impl BatchQueue {
-    fn new(cap: usize) -> Self {
-        BatchQueue {
-            inner: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Blocks while the queue is full (backpressure), then enqueues.
-    /// Returns the post-push depth.
-    fn push(&self, p: Pending) -> usize {
-        let mut q = self.inner.lock().unwrap();
-        while q.len() >= self.cap {
-            q = self.not_full.wait(q).unwrap();
-        }
-        q.push_back(p);
-        let depth = q.len();
-        drop(q);
-        self.not_empty.notify_one();
-        depth
-    }
-
-    /// Pops the front row plus every queued row for the same model (up to
-    /// `batch_max` total, preserving arrival order of the rest). Blocks
-    /// while empty; returns `None` once `stopped` is set *and* the queue
-    /// has fully drained, so shutdown never drops an accepted request.
-    fn pop_batch(&self, batch_max: usize, stopped: &AtomicBool) -> Option<Vec<Pending>> {
-        let mut q = self.inner.lock().unwrap();
-        loop {
-            if let Some(front) = q.pop_front() {
-                let mut batch = vec![front];
-                let mut i = 0;
-                while batch.len() < batch_max && i < q.len() {
-                    if q[i].model_id == batch[0].model_id
-                        && q[i].measured.len() == batch[0].measured.len()
-                    {
-                        batch.push(q.remove(i).expect("index i is in bounds"));
-                    } else {
-                        i += 1;
-                    }
-                }
-                drop(q);
-                self.not_full.notify_all();
-                return Some(batch);
-            }
-            if stopped.load(Ordering::SeqCst) {
-                return None;
-            }
-            q = self.not_empty.wait(q).unwrap();
-        }
-    }
-
-    /// Wakes the batcher so it can observe the stop flag.
-    fn wake_all(&self) {
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Rows currently queued (the watchdog's "work is pending" signal).
-    fn depth(&self) -> usize {
-        self.inner.lock().unwrap().len()
     }
 }
 
@@ -332,18 +211,11 @@ impl Stats {
 
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
-    queue: BatchQueue,
     cache: ModelCache,
     pub(crate) stats: Stats,
     pub(crate) stopping: AtomicBool,
-    /// Live connection sockets, shut down on drain so blocked reads wake.
-    conns: Mutex<Vec<TcpStream>>,
-    /// Process-local epoch the heartbeat is measured against.
+    /// Process-local epoch the batcher heartbeats are measured against.
     pub(crate) epoch: Instant,
-    /// Milliseconds since `epoch` at the batcher's last sign of life
-    /// (updated when it picks up and when it finishes a batch). The
-    /// watchdog fires when this goes stale while rows are queued.
-    heartbeat_ms: AtomicU64,
     /// Injected per-batch slowdown in milliseconds (0 = healthy); set by
     /// `set_fault` when the daemon allows it.
     pub(crate) fault_ms: AtomicU64,
@@ -352,17 +224,6 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    fn beat(&self) {
-        self.heartbeat_ms
-            .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-    }
-
-    /// Milliseconds since the batcher last showed a sign of life.
-    fn heartbeat_age_ms(&self) -> u64 {
-        (self.epoch.elapsed().as_millis() as u64)
-            .saturating_sub(self.heartbeat_ms.load(Ordering::Relaxed))
     }
 }
 
@@ -401,13 +262,10 @@ impl Server {
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let shared = Arc::new(Shared {
-            queue: BatchQueue::new(config.queue_cap),
             cache: ModelCache::new(config.cache_cap),
             stats: Stats::default(),
             stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
             epoch: Instant::now(),
-            heartbeat_ms: AtomicU64::new(0),
             fault_ms: AtomicU64::new(0),
             config,
         });
@@ -428,79 +286,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fatal listener failures only; per-connection errors are handled
-    /// and counted, never fatal.
+    /// Fatal listener or reactor set-up failures only; per-connection
+    /// errors are handled and counted, never fatal.
     pub fn run(self) -> std::io::Result<ServerStats> {
-        let Server { listener, shared } = self;
-        if shared.config.shards > 0 {
-            return crate::shard::run_sharded(listener, shared);
-        }
-        let addr = listener.local_addr()?;
-
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-batcher".into())
-                .spawn(move || batcher_loop(&shared))
-                .expect("spawning the batcher thread")
-        };
-
-        let watchdog = shared.config.watchdog_ms.map(|deadline_ms| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-watchdog".into())
-                .spawn(move || watchdog_loop(&shared, deadline_ms))
-                .expect("spawning the watchdog thread")
-        });
-
-        let mut handlers = Vec::new();
-        for stream in listener.incoming() {
-            if shared.stopping.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("pathrep-serve: [warn] accept failed: {e}");
-                    continue;
-                }
-            };
-            // Request/response ping-pong: Nagle-delaying the small reply
-            // frames would cost ~40 ms per round trip.
-            let _ = stream.set_nodelay(true);
-            if let Ok(clone) = stream.try_clone() {
-                shared.conns.lock().unwrap().push(clone);
-            }
-            let shared = Arc::clone(&shared);
-            handlers.push(
-                std::thread::Builder::new()
-                    .name("serve-conn".into())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawning a connection handler"),
-            );
-        }
-
-        // Drain: wake everything blocked on the socket or the queue.
-        for conn in shared.conns.lock().unwrap().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        shared.queue.wake_all();
-        let _ = batcher.join();
-        if let Some(w) = watchdog {
-            let _ = w.join();
-        }
-        pathrep_obs::gauge_set("serve.queue_depth", 0.0);
-        let stats = shared.stats.snapshot(shared.cache.len() as u64);
-        ledger::record("serve", "drained", |f| {
-            f.text("addr", &addr.to_string())
-                .int("requests", stats.requests)
-                .int("predictions", stats.predictions)
-                .int("errors", stats.errors);
-        });
-        Ok(stats)
+        crate::shard::run(self.listener, self.shared)
     }
 
     /// Spawns [`Server::run`] on a background thread.
@@ -514,101 +303,6 @@ impl Server {
             .name("serve-accept".into())
             .spawn(move || self.run().expect("server run loop"))?;
         Ok(ServerHandle { addr, join })
-    }
-}
-
-/// Polls the batcher heartbeat and fires once per stall: rows queued but
-/// no batcher activity for `deadline_ms`. A fire warns, counts, marks the
-/// flight ring and dumps it — the evidence lands while the stall is live,
-/// not after the process is killed. Re-arms once the heartbeat recovers.
-fn watchdog_loop(shared: &Shared, deadline_ms: u64) {
-    let poll = std::time::Duration::from_millis((deadline_ms / 4).clamp(10, 250));
-    // Sleep in short slices so a shutdown is never stuck behind a full
-    // poll interval: `run` joins this thread, and a single 250 ms sleep
-    // here was adding a quarter second to every server drain.
-    let slice = std::time::Duration::from_millis(5);
-    let sleep_observing_stop = |total: std::time::Duration| {
-        let wake = std::time::Instant::now() + total;
-        loop {
-            let now = std::time::Instant::now();
-            if now >= wake || shared.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(slice.min(wake - now));
-        }
-    };
-    let mut fired = false;
-    while !shared.stopping.load(Ordering::SeqCst) {
-        sleep_observing_stop(poll);
-        if shared.stopping.load(Ordering::SeqCst) {
-            break;
-        }
-        let depth = shared.queue.depth();
-        let age = shared.heartbeat_age_ms();
-        if depth > 0 && age > deadline_ms {
-            if !fired {
-                fired = true;
-                pathrep_obs::counter_add("serve.watchdog_fires", 1);
-                let diagnosis = format!(
-                    "batcher heartbeat quiet for {age} ms (deadline {deadline_ms} ms) \
-                     with {depth} rows queued"
-                );
-                pathrep_obs::warn("serve.watchdog", || diagnosis.clone());
-                flight::instant("serve.watchdog", diagnosis.clone());
-                eprintln!("pathrep-serve: [watchdog] {diagnosis}");
-                flight::dump_default();
-            }
-        } else if age <= deadline_ms {
-            fired = false; // batcher came back; re-arm for the next stall
-        }
-    }
-}
-
-fn batcher_loop(shared: &Shared) {
-    while let Some(batch) = shared
-        .queue
-        .pop_batch(shared.config.batch_max, &shared.stopping)
-    {
-        shared.beat();
-        let fault_ms = shared.fault_ms.load(Ordering::Relaxed);
-        if fault_ms > 0 {
-            // Injected sickness (`set_fault`): stall before serving so
-            // request latency inflates (SLO breach) and, with a slowdown
-            // past the watchdog deadline, the heartbeat goes stale while
-            // rows queue behind this batch.
-            std::thread::sleep(std::time::Duration::from_millis(fault_ms));
-        }
-        let rows = batch.len();
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        Stats::bump_max(&shared.stats.max_batch, rows as u64);
-        pathrep_obs::histogram_record_with("serve.batch_rows", BATCH_EDGES, rows as f64);
-        // Attribute the kernel under the span of the request that opened
-        // the batch; the coalesced rows ride along.
-        let _parent = pathrep_obs::adopt_span_parent(batch[0].parent_span.clone());
-        let _ctx = batch[0].trace_ctx.map(trace::set_context);
-        let _span = pathrep_obs::span!("serve.batch");
-        let predictor = Arc::clone(&batch[0].predictor);
-        let width = batch[0].measured.len();
-        let mut data = Vec::with_capacity(rows * width);
-        for p in &batch {
-            data.extend_from_slice(&p.measured);
-        }
-        let result = Matrix::from_vec(rows, width, data)
-            .map_err(|e| e.to_string())
-            .and_then(|m| predictor.predict_batch(&m).map_err(|e| e.to_string()));
-        match result {
-            Ok(out) => {
-                for (i, p) in batch.iter().enumerate() {
-                    let _ = p.reply.send(Ok(out.row(i).to_vec()));
-                }
-            }
-            Err(e) => {
-                for p in &batch {
-                    let _ = p.reply.send(Err(e.clone()));
-                }
-            }
-        }
-        shared.beat();
     }
 }
 
@@ -651,55 +345,9 @@ pub(crate) fn resolve_model(shared: &Shared, id: &str) -> Result<Arc<ModelArtifa
     }
 }
 
-/// Enqueues `rows` prediction rows for one model and waits for all
-/// replies, preserving row order.
-fn predict_rows(
-    shared: &Shared,
-    model_id: &str,
-    rows: Vec<Vec<f64>>,
-) -> Result<Vec<Vec<f64>>, String> {
-    let artifact = resolve_model(shared, model_id)?;
-    let want = artifact.predictor.measurement_count();
-    for (i, row) in rows.iter().enumerate() {
-        if row.len() != want {
-            return Err(format!(
-                "row {i}: expected {want} measurements, got {}",
-                row.len()
-            ));
-        }
-    }
-    let parent_span = pathrep_obs::current_span_path();
-    let trace_ctx = trace::current_context();
-    let predictor = Arc::new(artifact.predictor.clone());
-    let receivers: Vec<_> = rows
-        .into_iter()
-        .map(|measured| {
-            let (tx, rx) = mpsc::channel();
-            let depth = shared.queue.push(Pending {
-                model_id: model_id.to_owned(),
-                predictor: Arc::clone(&predictor),
-                measured,
-                parent_span: parent_span.clone(),
-                trace_ctx,
-                reply: tx,
-            });
-            Stats::bump_max(&shared.stats.queue_high_water, depth as u64);
-            pathrep_obs::gauge_set("serve.queue_depth", depth as f64);
-            rx
-        })
-        .collect();
-    let mut out = Vec::with_capacity(receivers.len());
-    for rx in receivers {
-        let row = rx
-            .recv()
-            .map_err(|_| "batcher dropped the request during shutdown".to_owned())??;
-        shared.stats.predictions.fetch_add(1, Ordering::Relaxed);
-        pathrep_obs::counter_add("serve.predictions", 1);
-        out.push(row);
-    }
-    Ok(out)
-}
-
+/// Answers a control request. The reactor serves the hot-path requests
+/// (`predict`, `predict_batch`) and `shutdown` itself and never passes
+/// them here.
 pub(crate) fn respond_to(shared: &Shared, req: Request) -> Response {
     match req {
         Request::LoadModel { path } => match load_artifact(shared, &path) {
@@ -713,23 +361,6 @@ pub(crate) fn respond_to(shared: &Shared, req: Request) -> Response {
                 message: e.to_string(),
             },
         },
-        Request::Predict { model, measured } => {
-            match predict_rows(shared, &model, vec![measured]) {
-                Ok(mut rows) => Response::Predicted {
-                    predicted: rows.pop().expect("one row in, one row out"),
-                },
-                Err(message) => Response::Error { message },
-            }
-        }
-        Request::PredictBatch { model, measured } => {
-            if measured.is_empty() {
-                return Response::PredictedBatch { predicted: vec![] };
-            }
-            match predict_rows(shared, &model, measured) {
-                Ok(predicted) => Response::PredictedBatch { predicted },
-                Err(message) => Response::Error { message },
-            }
-        }
         Request::Stats => Response::Stats(
             shared
                 .stats
@@ -764,157 +395,8 @@ pub(crate) fn respond_to(shared: &Shared, req: Request) -> Response {
                 Response::FaultSet { slowdown_ms }
             }
         }
-        Request::Shutdown => Response::ShuttingDown,
-    }
-}
-
-/// Serves one binary hot-path request on the blocking runtime and writes
-/// the reply in the same protocol. Returns `false` when the socket died.
-fn handle_binary_request(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    op: u8,
-    payload: &[u8],
-    t0: Instant,
-) -> bool {
-    use std::io::Write as _;
-    let (req, wire_ctx) = match BinRequest::decode(op, payload) {
-        Ok(pair) => pair,
-        Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            pathrep_obs::counter_add("serve.errors", 1);
-            let resp = BinResponse::Error { message: e.to_string() };
-            return stream.write_all(&resp.encode(None)).is_ok();
-        }
-    };
-    let ctx = effective_trace(wire_ctx);
-    let _ctx = trace::set_context(ctx);
-    let _span = pathrep_obs::span!("serve.request");
-    let resp = match req {
-        BinRequest::Predict { model, measured } => {
-            match predict_rows(shared, &model, vec![measured]) {
-                Ok(mut rows) => BinResponse::Predicted {
-                    predicted: rows.pop().expect("one row in, one row out"),
-                },
-                Err(message) => BinResponse::Error { message },
-            }
-        }
-        BinRequest::PredictBatch { model, rows, cols, data } => {
-            if rows == 0 {
-                BinResponse::PredictedBatch { rows: 0, cols: 0, data: vec![] }
-            } else {
-                let row_vecs: Vec<Vec<f64>> =
-                    data.chunks(cols.max(1)).map(<[f64]>::to_vec).collect();
-                match predict_rows(shared, &model, row_vecs) {
-                    Ok(predicted) => {
-                        let out_cols = predicted.first().map_or(0, Vec::len);
-                        let mut flat = Vec::with_capacity(predicted.len() * out_cols);
-                        for r in &predicted {
-                            flat.extend_from_slice(r);
-                        }
-                        BinResponse::PredictedBatch {
-                            rows: predicted.len(),
-                            cols: out_cols,
-                            data: flat,
-                        }
-                    }
-                    Err(message) => BinResponse::Error { message },
-                }
-            }
-        }
-    };
-    if matches!(resp, BinResponse::Error { .. }) {
-        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        pathrep_obs::counter_add("serve.errors", 1);
-    }
-    let ok = stream.write_all(&resp.encode(Some(ctx))).is_ok();
-    pathrep_obs::histogram_record_hdr("serve.request_ns", t0.elapsed().as_nanos() as f64);
-    ok
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    loop {
-        let frame = match read_any_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            // Clean EOF, or the socket was shut down during drain.
-            Ok(None) | Err(ProtocolError::Io(_)) => return,
-            Err(e) => {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                pathrep_obs::counter_add("serve.errors", 1);
-                let resp = Response::Error {
-                    message: e.to_string(),
-                };
-                let _ = write_frame(&mut stream, &resp.encode());
-                return;
-            }
-        };
-        let t0 = Instant::now();
-        let payload = match frame {
-            WireFrame::Json(payload) => payload,
-            WireFrame::Binary { op, payload } => {
-                // Hot-path binary frame: same queue, same batcher, same
-                // kernel — only the framing differs. Replies stay in the
-                // request's protocol; JSON control frames interleave freely.
-                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                pathrep_obs::counter_add("serve.requests", 1);
-                if handle_binary_request(&mut stream, shared, op, &payload, t0) {
-                    continue;
-                }
-                return;
-            }
-        };
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        pathrep_obs::counter_add("serve.requests", 1);
-        let (req, wire_ctx) = match Request::decode_with_trace(&payload) {
-            Ok(pair) => pair,
-            Err(e) => {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                pathrep_obs::counter_add("serve.errors", 1);
-                let resp = Response::Error {
-                    message: e.to_string(),
-                };
-                let _ = write_frame(&mut stream, &resp.encode());
-                continue;
-            }
-        };
-        // Adopt the client's trace context (or mint one) before opening
-        // the request span, so the span — and any ledger records written
-        // while handling — carry the ids the reply echoes back.
-        let ctx = effective_trace(wire_ctx);
-        let _ctx = trace::set_context(ctx);
-        let _span = pathrep_obs::span!("serve.request");
-        if let Some(n) = shared.config.inject_panic {
-            let served = shared.stats.requests.load(Ordering::Relaxed);
-            if served >= n && !matches!(req, Request::Shutdown) {
-                // Gate-only: die inside the request span, with the trace
-                // context set, so the panic-hook flight dump must carry
-                // this request's trace_id on the in-flight span.
-                panic!(
-                    "injected panic for the observability gate \
-                     (request {served}, trace_id {})",
-                    ctx.trace_id
-                );
-            }
-        }
-        let is_shutdown = matches!(req, Request::Shutdown);
-        let resp = respond_to(shared, req);
-        if matches!(resp, Response::Error { .. }) {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            pathrep_obs::counter_add("serve.errors", 1);
-        }
-        let ok = write_frame(&mut stream, &resp.encode_with_trace(Some(ctx))).is_ok();
-        pathrep_obs::histogram_record_hdr("serve.request_ns", t0.elapsed().as_nanos() as f64);
-        if is_shutdown {
-            // Flip the flag, then nudge the accept loop awake with a
-            // throwaway connection so it observes the flag and drains.
-            shared.stopping.store(true, Ordering::SeqCst);
-            if let Ok(listener_addr) = stream.local_addr() {
-                let _ = TcpStream::connect(listener_addr);
-            }
-            return;
-        }
-        if !ok {
-            return;
+        Request::Predict { .. } | Request::PredictBatch { .. } | Request::Shutdown => {
+            unreachable!("the reactor serves predictions and shutdown itself")
         }
     }
 }
@@ -922,17 +404,22 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathrep_core::predictor::MeasurementPredictor;
+    use pathrep_linalg::Matrix;
 
     #[test]
     fn config_from_env_falls_back_on_garbage() {
         // Use the real vars briefly; restore to avoid cross-test leakage.
         std::env::set_var(obs_config::ENV_SERVE_BATCH, "not-a-number");
         std::env::set_var(obs_config::ENV_SERVE_QUEUE, "0");
+        std::env::set_var(obs_config::ENV_SERVE_SHARDS, "0");
         let c = ServerConfig::from_env();
         assert_eq!(c.batch_max, ServerConfig::default().batch_max);
         assert_eq!(c.queue_cap, ServerConfig::default().queue_cap);
+        assert_eq!(c.shards, 1, "shard count 0 is rejected; the default is one reactor");
         std::env::remove_var(obs_config::ENV_SERVE_BATCH);
         std::env::remove_var(obs_config::ENV_SERVE_QUEUE);
+        std::env::remove_var(obs_config::ENV_SERVE_SHARDS);
     }
 
     #[test]
@@ -976,40 +463,5 @@ mod tests {
             )
             .unwrap(),
         }
-    }
-
-    #[test]
-    fn queue_batches_same_model_and_respects_flush_size() {
-        let q = BatchQueue::new(16);
-        let stopped = AtomicBool::new(false);
-        let art = Arc::new(demo_artifact("q").predictor);
-        let mk = |model: &str| {
-            let (tx, _rx) = mpsc::channel();
-            // Leak the receiver: these pendings are only inspected, never
-            // replied to.
-            std::mem::forget(_rx);
-            Pending {
-                model_id: model.into(),
-                predictor: Arc::clone(&art),
-                measured: vec![0.0, 0.0],
-                parent_span: None,
-                trace_ctx: None,
-                reply: tx,
-            }
-        };
-        for model in ["m1", "m1", "m2", "m1", "m1", "m1"] {
-            q.push(mk(model));
-        }
-        let b1 = q.pop_batch(3, &stopped).unwrap();
-        assert_eq!(b1.len(), 3, "flush-on-size caps the batch");
-        assert!(b1.iter().all(|p| p.model_id == "m1"));
-        let b2 = q.pop_batch(3, &stopped).unwrap();
-        assert_eq!(b2.len(), 1, "the m2 row runs alone, order preserved");
-        assert_eq!(b2[0].model_id, "m2");
-        let b3 = q.pop_batch(3, &stopped).unwrap();
-        assert_eq!(b3.len(), 2);
-        assert!(b3.iter().all(|p| p.model_id == "m1"));
-        stopped.store(true, Ordering::SeqCst);
-        assert!(q.pop_batch(3, &stopped).is_none(), "drained + stopped ends the loop");
     }
 }

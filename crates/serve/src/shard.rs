@@ -1,8 +1,7 @@
-//! The sharded readiness-loop runtime: `pathrep-serve` rebuilt on
-//! [`pathrep_net`].
+//! The serving runtime: readiness-loop reactor shards on [`pathrep_net`].
 //!
-//! Selected with `PATHREP_SERVE_SHARDS=N` (N > 0); `0` keeps the original
-//! thread-per-connection runtime in [`crate::server`]. Architecture:
+//! [`crate::server::Server::run`] runs this with `PATHREP_SERVE_SHARDS=N`
+//! shards (default 1). Architecture:
 //!
 //! ```text
 //! accept thread ── round-robins sockets over N reactor shards
@@ -23,18 +22,22 @@
 //! owns their sockets. Only the owning reactor ever writes a socket;
 //! batchers talk to reactors exclusively through mailboxes.
 //!
-//! **Determinism.** Identical to the legacy runtime: the batcher pops
-//! same-model same-width rows in arrival order and `predict_batch`
-//! computes each row by the exact floating-point sequence of a solo
-//! `predict`, so replies are bit-identical to the offline predictor at any
-//! shard count, batching, or protocol.
+//! **Determinism.** The batcher pops same-model same-width rows in
+//! arrival order and `predict_batch` computes each row by the exact
+//! floating-point sequence of a solo `predict`, so replies are
+//! bit-identical to the offline predictor at any shard count, batching,
+//! or protocol. A `predict_batch` enqueues one job per row — structurally
+//! the same as that many concurrent `predict`s — so the two cannot
+//! diverge.
 //!
 //! **Backpressure & shedding.** Each shard's job queue is bounded
 //! (`queue_cap`). A reactor never blocks, so instead of waiting it (a)
 //! stops *parsing* a connection while a request is in flight — pipelined
 //! bytes sit in the buffer and TCP flow control pushes back — and (b)
-//! sheds with a typed error reply (counted in `serve.shard.shed`) when a
-//! routed queue is full.
+//! sheds with a typed `server overloaded` reply (counted in
+//! `serve.shard.shed`) when a request would overfill a non-empty routed
+//! queue. An empty queue admits any request, so a batch wider than
+//! `queue_cap` is served alone rather than refused forever.
 //!
 //! **Drain.** A `shutdown` request flips the stop flag, notifies every
 //! shard and nudges the acceptor. Reactors stop parsing new frames,
@@ -135,7 +138,9 @@ impl JobQueue {
         JobQueue { inner: Mutex::new(VecDeque::new()), not_empty: Condvar::new(), cap }
     }
 
-    /// Atomically enqueue all rows of one request, or none of them.
+    /// Atomically enqueue all rows of one request, or none of them. An
+    /// empty queue admits any request, so one wider than `cap` is served
+    /// alone instead of being refused forever.
     /// Checking `stopping` under the queue lock is what makes the drain
     /// airtight: once the flag is set no new job can enter, so "stopping
     /// and empty" really means the batcher is done.
@@ -144,7 +149,7 @@ impl JobQueue {
         if stopping.load(Ordering::SeqCst) {
             return Err(PushRefused::Stopping);
         }
-        if q.len() + jobs.len() > self.cap {
+        if !q.is_empty() && q.len() + jobs.len() > self.cap {
             return Err(PushRefused::Full(q.len()));
         }
         q.extend(jobs);
@@ -155,9 +160,9 @@ impl JobQueue {
     }
 
     /// Pops the front row plus every queued row for the same model and
-    /// width (up to `batch_max`, preserving arrival order of the rest) —
-    /// the same coalescing rule as the legacy queue. Blocks while empty;
-    /// `None` once `stopped` is set *and* the queue has drained.
+    /// width (up to `batch_max`, preserving arrival order of the rest).
+    /// Blocks while empty; `None` once `stopped` is set *and* the queue
+    /// has drained, so shutdown never drops an accepted request.
     fn pop_batch(&self, batch_max: usize, stopped: &AtomicBool) -> Option<Vec<Job>> {
         let mut q = self.inner.lock().unwrap();
         loop {
@@ -230,6 +235,9 @@ struct ConnState {
     inflight: Option<Inflight>,
     /// Close once the write buffer drains (set after protocol errors).
     close_after_flush: bool,
+    /// Whether the poller interest currently includes write readiness
+    /// (connections are adopted with read interest only).
+    armed_write: bool,
 }
 
 /// Renders a JSON payload as one length-prefixed frame.
@@ -237,6 +245,56 @@ fn json_frame(payload: &str) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + payload.len());
     write_frame(&mut buf, payload).expect("in-memory frame write cannot fail");
     buf
+}
+
+/// Encodes an error reply in the request's protocol.
+fn error_frame(proto: Proto, message: String, ctx: Option<TraceContext>) -> Vec<u8> {
+    match proto {
+        Proto::Json => json_frame(&Response::Error { message }.encode_with_trace(ctx)),
+        Proto::Binary => BinResponse::Error { message }.encode(ctx),
+    }
+}
+
+/// Encodes a prediction reply in the request's protocol.
+fn predicted_frame(
+    kind: ReplyKind,
+    proto: Proto,
+    rows: Vec<Vec<f64>>,
+    ctx: TraceContext,
+) -> Vec<u8> {
+    match (kind, proto) {
+        (ReplyKind::Single, Proto::Json) => json_frame(
+            &Response::Predicted { predicted: rows.into_iter().next().expect("one row") }
+                .encode_with_trace(Some(ctx)),
+        ),
+        (ReplyKind::Batch, Proto::Json) => json_frame(
+            &Response::PredictedBatch { predicted: rows }.encode_with_trace(Some(ctx)),
+        ),
+        (ReplyKind::Single, Proto::Binary) => BinResponse::Predicted {
+            predicted: rows.into_iter().next().expect("one row"),
+        }
+        .encode(Some(ctx)),
+        (ReplyKind::Batch, Proto::Binary) => {
+            let cols = rows.first().map_or(0, Vec::len);
+            let mut flat = Vec::with_capacity(rows.len() * cols);
+            for r in &rows {
+                flat.extend_from_slice(r);
+            }
+            BinResponse::PredictedBatch { rows: rows.len(), cols, data: flat }.encode(Some(ctx))
+        }
+    }
+}
+
+/// Lifts a binary hot-path request into the JSON request type, so both
+/// framings share one dispatch path.
+fn lift(req: BinRequest) -> Request {
+    match req {
+        BinRequest::Predict { model, measured } => Request::Predict { model, measured },
+        BinRequest::PredictBatch { model, cols, data, .. } => Request::PredictBatch {
+            model,
+            measured: data.chunks(cols.max(1)).map(<[f64]>::to_vec).collect(),
+        },
+    }
 }
 
 struct Reactor {
@@ -377,12 +435,9 @@ impl Reactor {
                 Scanned::Frame(frame) => self.handle_frame(token, frame),
                 Scanned::None => break,
                 Scanned::Bad(message) => {
-                    // Framing is broken; answer once and close (mirrors the
-                    // legacy runtime's frame-level error handling).
-                    self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    pathrep_obs::counter_add("serve.errors", 1);
-                    let reply = json_frame(&Response::Error { message }.encode());
-                    self.queue_reply(token, &reply);
+                    // Framing is broken; answer once and close.
+                    self.count_error();
+                    self.queue_reply(token, &error_frame(Proto::Json, message, None));
                     if let Some((_, state)) = self.net.conn_mut(token) {
                         state.close_after_flush = true;
                     }
@@ -398,123 +453,85 @@ impl Reactor {
         self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         pathrep_obs::counter_add("serve.requests", 1);
         pathrep_obs::counter_add("serve.shard.requests", 1);
-        match frame {
-            WireFrame::Json(payload) => match Request::decode_with_trace(&payload) {
-                Err(e) => {
-                    self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    pathrep_obs::counter_add("serve.errors", 1);
-                    let reply = json_frame(&Response::Error { message: e.to_string() }.encode());
-                    self.queue_reply(token, &reply);
-                }
-                Ok((req, wire_ctx)) => {
-                    let ctx = effective_trace(wire_ctx);
-                    let _ctx = trace::set_context(ctx);
-                    let _span = pathrep_obs::span!("serve.shard.request");
-                    match req {
-                        Request::Predict { model, measured } => {
-                            self.start_predict(
-                                token,
-                                Proto::Json,
-                                ctx,
-                                t0,
-                                ReplyKind::Single,
-                                model,
-                                vec![measured],
-                            );
-                        }
-                        Request::PredictBatch { model, measured } => {
-                            if measured.is_empty() {
-                                let resp = Response::PredictedBatch { predicted: vec![] };
-                                self.finish_control(token, t0, resp, ctx);
-                            } else {
-                                self.start_predict(
-                                    token,
-                                    Proto::Json,
-                                    ctx,
-                                    t0,
-                                    ReplyKind::Batch,
-                                    model,
-                                    measured,
-                                );
-                            }
-                        }
-                        Request::Shutdown => {
-                            self.finish_control(token, t0, Response::ShuttingDown, ctx);
-                            self.initiate_shutdown();
-                        }
-                        other => {
-                            let resp = respond_to(&self.shared, other);
-                            self.finish_control(token, t0, resp, ctx);
-                        }
-                    }
-                }
-            },
-            WireFrame::Binary { op, payload } => match BinRequest::decode(op, &payload) {
-                Err(e) => {
-                    self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    pathrep_obs::counter_add("serve.errors", 1);
-                    let reply = BinResponse::Error { message: e.to_string() }.encode(None);
-                    self.queue_reply(token, &reply);
-                }
-                Ok((req, wire_ctx)) => {
-                    let ctx = effective_trace(wire_ctx);
-                    let _ctx = trace::set_context(ctx);
-                    let _span = pathrep_obs::span!("serve.shard.request");
-                    match req {
-                        BinRequest::Predict { model, measured } => {
-                            self.start_predict(
-                                token,
-                                Proto::Binary,
-                                ctx,
-                                t0,
-                                ReplyKind::Single,
-                                model,
-                                vec![measured],
-                            );
-                        }
-                        BinRequest::PredictBatch { model, rows, cols, data } => {
-                            if rows == 0 {
-                                let reply = BinResponse::PredictedBatch {
-                                    rows: 0,
-                                    cols: 0,
-                                    data: vec![],
-                                }
-                                .encode(Some(ctx));
-                                self.queue_reply(token, &reply);
-                                pathrep_obs::histogram_record_hdr(
-                                    "serve.request_ns",
-                                    t0.elapsed().as_nanos() as f64,
-                                );
-                            } else {
-                                let row_vecs: Vec<Vec<f64>> =
-                                    data.chunks(cols.max(1)).map(<[f64]>::to_vec).collect();
-                                self.start_predict(
-                                    token,
-                                    Proto::Binary,
-                                    ctx,
-                                    t0,
-                                    ReplyKind::Batch,
-                                    model,
-                                    row_vecs,
-                                );
-                            }
-                        }
-                    }
-                }
-            },
+        // Replies go out in the request's protocol; binary frames carry
+        // only the hot path and are lifted into the JSON request type.
+        let (proto, decoded) = match frame {
+            WireFrame::Json(payload) => (
+                Proto::Json,
+                Request::decode_with_trace(&payload).map_err(|e| e.to_string()),
+            ),
+            WireFrame::Binary { op, payload } => (
+                Proto::Binary,
+                BinRequest::decode(op, &payload)
+                    .map(|(req, ctx)| (lift(req), ctx))
+                    .map_err(|e| e.to_string()),
+            ),
+        };
+        let (req, wire_ctx) = match decoded {
+            Ok(pair) => pair,
+            Err(message) => {
+                self.count_error();
+                return self.queue_reply(token, &error_frame(proto, message, None));
+            }
+        };
+        // Adopt the client's trace context (or mint one) before opening
+        // the request span, so the span — and any ledger records written
+        // while handling — carry the ids the reply echoes back.
+        let ctx = effective_trace(wire_ctx);
+        let _ctx = trace::set_context(ctx);
+        let _span = pathrep_obs::span!("serve.shard.request");
+        if let Some(n) = self.shared.config.inject_panic {
+            let served = self.shared.stats.requests.load(Ordering::Relaxed);
+            if served >= n && !matches!(req, Request::Shutdown) {
+                // Gate-only: die inside the request span, with the trace
+                // context set, so the panic-hook flight dump must carry
+                // this request's trace_id on the in-flight span.
+                panic!(
+                    "injected panic for the observability gate \
+                     (request {served}, trace_id {})",
+                    ctx.trace_id
+                );
+            }
+        }
+        match req {
+            Request::Predict { model, measured } => {
+                self.start_predict(token, proto, ctx, t0, ReplyKind::Single, model, vec![measured]);
+            }
+            Request::PredictBatch { measured, .. } if measured.is_empty() => {
+                let reply = predicted_frame(ReplyKind::Batch, proto, measured, ctx);
+                self.reply(token, t0, &reply);
+            }
+            Request::PredictBatch { model, measured } => {
+                self.start_predict(token, proto, ctx, t0, ReplyKind::Batch, model, measured);
+            }
+            Request::Shutdown => {
+                self.finish_control(token, t0, Response::ShuttingDown, ctx);
+                self.initiate_shutdown();
+            }
+            other => {
+                let resp = respond_to(&self.shared, other);
+                self.finish_control(token, t0, resp, ctx);
+            }
         }
     }
 
-    /// Answer a control request (or an immediate error) in JSON and record
-    /// its latency.
+    fn count_error(&self) {
+        self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+        pathrep_obs::counter_add("serve.errors", 1);
+    }
+
+    /// Queue a request's reply and record its latency.
+    fn reply(&mut self, token: Token, t0: Instant, bytes: &[u8]) {
+        self.queue_reply(token, bytes);
+        pathrep_obs::histogram_record_hdr("serve.request_ns", t0.elapsed().as_nanos() as f64);
+    }
+
+    /// Answer a control request in JSON.
     fn finish_control(&mut self, token: Token, t0: Instant, resp: Response, ctx: TraceContext) {
         if matches!(resp, Response::Error { .. }) {
-            self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            pathrep_obs::counter_add("serve.errors", 1);
+            self.count_error();
         }
-        let reply = json_frame(&resp.encode_with_trace(Some(ctx)));
-        self.queue_reply(token, &reply);
-        pathrep_obs::histogram_record_hdr("serve.request_ns", t0.elapsed().as_nanos() as f64);
+        self.reply(token, t0, &json_frame(&resp.encode_with_trace(Some(ctx))));
     }
 
     /// Reply to a failed hot-path request in its own protocol.
@@ -526,16 +543,8 @@ impl Reactor {
         t0: Instant,
         message: String,
     ) {
-        self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        pathrep_obs::counter_add("serve.errors", 1);
-        let reply = match proto {
-            Proto::Json => {
-                json_frame(&Response::Error { message }.encode_with_trace(Some(ctx)))
-            }
-            Proto::Binary => BinResponse::Error { message }.encode(Some(ctx)),
-        };
-        self.queue_reply(token, &reply);
-        pathrep_obs::histogram_record_hdr("serve.request_ns", t0.elapsed().as_nanos() as f64);
+        self.count_error();
+        self.reply(token, t0, &error_frame(proto, message, Some(ctx)));
     }
 
     /// Validate a hot-path request, route its rows to the owning shard's
@@ -657,51 +666,19 @@ impl Reactor {
         self.inflight_count -= 1;
         let reply = match inf.error {
             Some(message) => {
-                self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                pathrep_obs::counter_add("serve.errors", 1);
-                match inf.proto {
-                    Proto::Json => json_frame(
-                        &Response::Error { message }.encode_with_trace(Some(inf.ctx)),
-                    ),
-                    Proto::Binary => BinResponse::Error { message }.encode(Some(inf.ctx)),
-                }
+                self.count_error();
+                error_frame(inf.proto, message, Some(inf.ctx))
             }
             None => {
-                let rows: Vec<Vec<f64>> = inf
+                let rows = inf
                     .results
                     .into_iter()
                     .map(|r| r.expect("all rows completed without error"))
                     .collect();
-                match (inf.kind, inf.proto) {
-                    (ReplyKind::Single, Proto::Json) => json_frame(
-                        &Response::Predicted { predicted: rows.into_iter().next().unwrap() }
-                            .encode_with_trace(Some(inf.ctx)),
-                    ),
-                    (ReplyKind::Batch, Proto::Json) => json_frame(
-                        &Response::PredictedBatch { predicted: rows }
-                            .encode_with_trace(Some(inf.ctx)),
-                    ),
-                    (ReplyKind::Single, Proto::Binary) => BinResponse::Predicted {
-                        predicted: rows.into_iter().next().unwrap(),
-                    }
-                    .encode(Some(inf.ctx)),
-                    (ReplyKind::Batch, Proto::Binary) => {
-                        let cols = rows.first().map_or(0, Vec::len);
-                        let mut flat = Vec::with_capacity(rows.len() * cols);
-                        for r in &rows {
-                            flat.extend_from_slice(r);
-                        }
-                        BinResponse::PredictedBatch { rows: rows.len(), cols, data: flat }
-                            .encode(Some(inf.ctx))
-                    }
-                }
+                predicted_frame(inf.kind, inf.proto, rows, inf.ctx)
             }
         };
-        self.queue_reply(token, &reply);
-        pathrep_obs::histogram_record_hdr(
-            "serve.request_ns",
-            inf.t0.elapsed().as_nanos() as f64,
-        );
+        self.reply(token, inf.t0, &reply);
         // The connection may have whole frames buffered behind the one we
         // just answered — serve them now that the in-flight slot is free.
         self.pump_conn(token);
@@ -724,18 +701,21 @@ impl Reactor {
         self.rearm(token);
     }
 
-    /// Point the poller at what this connection actually needs next.
+    /// Point the poller at what this connection actually needs next,
+    /// skipping the syscall when the armed interest already matches.
     fn rearm(&mut self, token: Token) {
-        let interest = match self.net.conn_mut(token) {
-            Some((conn, _)) => {
-                if conn.wants_write() {
-                    Interest::BOTH
-                } else {
-                    Interest::READ
+        let want_write = match self.net.conn_mut(token) {
+            Some((conn, state)) => {
+                let want = conn.wants_write();
+                if want == state.armed_write {
+                    return;
                 }
+                state.armed_write = want;
+                want
             }
             None => return,
         };
+        let interest = if want_write { Interest::BOTH } else { Interest::READ };
         let _ = self.net.set_interest(token, interest);
     }
 
@@ -796,6 +776,10 @@ fn shard_batcher(
         beat();
         let fault_ms = shared.fault_ms.load(Ordering::Relaxed);
         if fault_ms > 0 {
+            // Injected sickness (`set_fault`): stall before serving so
+            // request latency inflates (SLO breach) and, with a slowdown
+            // past the watchdog deadline, the heartbeat goes stale while
+            // rows queue behind this batch.
             std::thread::sleep(std::time::Duration::from_millis(fault_ms));
         }
         let rows = batch.len();
@@ -831,9 +815,11 @@ fn shard_batcher(
     }
 }
 
-/// Sharded stall watchdog: fires once per stalled shard (rows queued but
-/// that shard's batcher heartbeat quiet past the deadline), mirroring the
-/// legacy watchdog's warn + counter + flight-dump behavior.
+/// Stall watchdog: fires once per stall of a shard (rows queued but that
+/// shard's batcher heartbeat quiet past the deadline). A fire warns,
+/// counts, marks the flight ring and dumps it — the evidence lands while
+/// the stall is live, not after the process is killed. Re-arms once the
+/// heartbeat recovers.
 fn shard_watchdog(
     shared: &Shared,
     queues: &[JobQueue],
@@ -875,10 +861,10 @@ fn shard_watchdog(
     }
 }
 
-/// Run the sharded runtime on the calling thread until a `shutdown`
-/// request drains it; returns the final lifetime statistics. Called by
-/// [`crate::server::Server::run`] when `config.shards > 0`.
-pub(crate) fn run_sharded(
+/// Run the runtime on the calling thread until a `shutdown` request
+/// drains it; returns the final lifetime statistics. This is
+/// [`crate::server::Server::run`].
+pub(crate) fn run(
     listener: TcpListener,
     shared: Arc<Shared>,
 ) -> std::io::Result<ServerStats> {
@@ -994,4 +980,79 @@ pub(crate) fn run_sharded(
             .int("errors", stats.errors);
     });
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pathrep_linalg::Matrix;
+
+    fn predictor() -> Arc<MeasurementPredictor> {
+        let coef = Matrix::from_fn(2, 2, |i, j| (i + j) as f64 * 0.5 + 0.25);
+        Arc::new(
+            MeasurementPredictor::from_parts(
+                coef,
+                vec![10.0, 11.0],
+                vec![12.0, 13.0],
+                vec![0.1, 0.2],
+                3.0,
+            )
+            .unwrap(),
+        )
+    }
+
+    fn jobs(model: &str, n: usize, predictor: &Arc<MeasurementPredictor>) -> Vec<Job> {
+        (0..n)
+            .map(|row| Job {
+                model_id: model.into(),
+                predictor: Arc::clone(predictor),
+                measured: vec![0.0, 0.0],
+                parent_span: None,
+                trace_ctx: None,
+                home: 0,
+                conn: Token(0),
+                serial: 0,
+                row,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn queue_batches_same_model_and_respects_flush_size() {
+        let q = JobQueue::new(16);
+        let stopped = AtomicBool::new(false);
+        let p = predictor();
+        for model in ["m1", "m1", "m2", "m1", "m1", "m1"] {
+            assert!(q.try_push_all(jobs(model, 1, &p), &stopped).is_ok());
+        }
+        let b1 = q.pop_batch(3, &stopped).unwrap();
+        assert_eq!(b1.len(), 3, "flush-on-size caps the batch");
+        assert!(b1.iter().all(|j| j.model_id == "m1"));
+        let b2 = q.pop_batch(3, &stopped).unwrap();
+        assert_eq!(b2.len(), 1, "the m2 row runs alone, order preserved");
+        assert_eq!(b2[0].model_id, "m2");
+        let b3 = q.pop_batch(3, &stopped).unwrap();
+        assert_eq!(b3.len(), 2);
+        assert!(b3.iter().all(|j| j.model_id == "m1"));
+        stopped.store(true, Ordering::SeqCst);
+        assert!(q.pop_batch(3, &stopped).is_none(), "drained + stopped ends the loop");
+    }
+
+    #[test]
+    fn empty_queue_admits_a_request_wider_than_its_capacity() {
+        let q = JobQueue::new(4);
+        let stopping = AtomicBool::new(false);
+        let p = predictor();
+        assert!(matches!(q.try_push_all(jobs("m", 10, &p), &stopping), Ok(10)));
+        assert!(
+            matches!(q.try_push_all(jobs("m", 1, &p), &stopping), Err(PushRefused::Full(10))),
+            "a non-empty queue past capacity sheds"
+        );
+        q.pop_batch(16, &stopping).unwrap();
+        assert!(matches!(q.try_push_all(jobs("m", 3, &p), &stopping), Ok(3)));
+        assert!(matches!(q.try_push_all(jobs("m", 1, &p), &stopping), Ok(4)));
+        assert!(matches!(q.try_push_all(jobs("m", 1, &p), &stopping), Err(PushRefused::Full(4))));
+        stopping.store(true, Ordering::SeqCst);
+        assert!(matches!(q.try_push_all(jobs("m", 1, &p), &stopping), Err(PushRefused::Stopping)));
+    }
 }

@@ -25,7 +25,9 @@ fn test_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         batch_max: 8,
-        queue_cap: 32,
+        // Room for every row the concurrent-clients soak can have queued
+        // at once (5 clients × 20-row batches), so it never sheds.
+        queue_cap: 128,
         cache_cap: 4,
         ..ServerConfig::default()
     }

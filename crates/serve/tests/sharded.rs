@@ -1,11 +1,11 @@
-//! The sharded reactor runtime's core invariant: replies are bit-identical
-//! to the offline predictor — and therefore to the thread-per-connection
-//! runtime — at any shard count, for either wire protocol, including when
-//! JSON and binary clients interleave on one daemon.
+//! The reactor runtime's core invariant: replies are bit-identical to the
+//! offline predictor at any shard count, for either wire protocol,
+//! including when JSON and binary clients interleave on one daemon — and
+//! when the daemon sheds load, every reply it does serve still is.
 
 use pathrep_serve::demo::{build_quickstart_model, DemoModel};
-use pathrep_serve::{Client, Server, ServerConfig, WireProtocol};
-use std::sync::{Mutex, OnceLock};
+use pathrep_serve::{Client, ClientError, Server, ServerConfig, WireProtocol};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
 /// Daemon tests mutate the global obs registry; serialize them (and
 /// recover the lock if an earlier test's assert poisoned it).
@@ -87,7 +87,7 @@ fn replies_are_byte_identical_at_any_shard_count_and_protocol() {
         .map(|m| demo().artifact.predictor.predict(m).expect("offline"))
         .collect();
 
-    for shards in [0, 1, 4] {
+    for shards in [1, 4] {
         for proto in [WireProtocol::Json, WireProtocol::Binary] {
             let (singles, batch) = serve_round(shards, proto, &chips);
             for (k, (got, want)) in singles.iter().zip(offline.iter()).enumerate() {
@@ -184,4 +184,113 @@ fn binary_protocol_surfaces_typed_server_errors() {
     assert_eq!(stats.errors, 2);
     client.shutdown().expect("shutdown");
     handle.join();
+}
+
+#[test]
+fn a_batch_wider_than_the_queue_is_served_on_an_idle_daemon() {
+    let _obs = obs_lock();
+    let chips = demo().measure_chips(10, 67).expect("chips fabricate");
+    let config = ServerConfig {
+        queue_cap: 4,
+        ..config(1)
+    };
+    let handle = Server::bind(config).expect("bind").spawn().expect("spawn");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let loaded = client.load_model(artifact_path()).expect("load");
+    for proto in [WireProtocol::Json, WireProtocol::Binary] {
+        client.set_protocol(proto);
+        let got = client
+            .predict_batch(&loaded.model, &chips)
+            .expect("an empty queue admits a batch wider than queue_cap");
+        assert_eq!(got.len(), chips.len());
+        for (k, (row, m)) in got.iter().zip(&chips).enumerate() {
+            let want = demo().artifact.predictor.predict(m).expect("offline");
+            assert_bits_eq(row, &want, &format!("{proto:?} oversize batch row {k}"));
+        }
+    }
+    client.shutdown().expect("shutdown");
+    assert_eq!(handle.join().errors, 0);
+}
+
+#[test]
+fn a_full_queue_sheds_with_a_typed_reply_and_the_connection_survives() {
+    let _obs = obs_lock();
+    pathrep_obs::set_enabled(true);
+    pathrep_obs::reset();
+    let chips = demo().measure_chips(3, 59).expect("chips fabricate");
+    let offline: Vec<Vec<f64>> = chips
+        .iter()
+        .map(|m| demo().artifact.predictor.predict(m).expect("offline"))
+        .collect();
+
+    // One row per batch, a 25 ms stall per batch and room for two queued
+    // rows: six clients released together overfill the queue.
+    let config = ServerConfig {
+        batch_max: 1,
+        queue_cap: 2,
+        allow_fault: true,
+        ..config(1)
+    };
+    let handle = Server::bind(config).expect("bind").spawn().expect("spawn");
+    let addr = handle.addr();
+    let mut control = Client::connect(addr).expect("connect");
+    let model = control.load_model(artifact_path()).expect("load").model;
+    control.set_fault(25).expect("fault accepted");
+
+    let clients = 6;
+    let start = Arc::new(Barrier::new(clients));
+    let workers: Vec<_> = (0..clients)
+        .map(|c| {
+            let (chips, offline, model) = (chips.clone(), offline.clone(), model.clone());
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("worker connects");
+                let proto = [WireProtocol::Json, WireProtocol::Binary][c % 2];
+                client.set_protocol(proto);
+                start.wait();
+                let mut shed = 0u64;
+                for (k, m) in chips.iter().enumerate() {
+                    // A shed request is retried on the same connection.
+                    loop {
+                        match client.predict(&model, m) {
+                            Ok(got) => {
+                                let what = format!("client {c} ({proto:?}) chip {k}");
+                                assert_bits_eq(&got, &offline[k], &what);
+                                break;
+                            }
+                            Err(ClientError::Server(msg))
+                                if msg.starts_with("server overloaded") =>
+                            {
+                                shed += 1;
+                                std::thread::sleep(std::time::Duration::from_millis(5));
+                            }
+                            Err(e) => panic!("client {c} chip {k}: {e}"),
+                        }
+                    }
+                }
+                shed
+            })
+        })
+        .collect();
+    let shed: u64 = workers
+        .into_iter()
+        .map(|w| w.join().expect("worker threads succeed"))
+        .sum();
+    control.set_fault(0).expect("fault cleared");
+
+    assert!(shed >= 1, "six concurrent clients must overfill a 2-row queue");
+    let counted = pathrep_obs::registry()
+        .snapshot()
+        .counters
+        .iter()
+        .find(|c| c.name == "serve.shard.shed")
+        .map_or(0, |c| c.value);
+    assert_eq!(counted, shed, "serve.shard.shed counts every shed reply");
+    let stats = control.stats().expect("stats");
+    assert_eq!(stats.errors, shed, "sheds are the only errors");
+    assert_eq!(stats.predictions, (clients * chips.len()) as u64);
+    control.shutdown().expect("shutdown");
+    handle.join();
+    pathrep_obs::set_enabled(false);
+    pathrep_obs::reset();
 }

@@ -6,8 +6,6 @@
 #                     thread-count determinism and work-fact cross-checks
 #   serve_gate.sh     prediction-server contract (batching, artifacts,
 #                     JSON + binary protocol soaks)
-#   serve_shard_gate.sh  the same contract against the 4-shard reactor
-#                     runtime (multi-shard byte identity, clean drain)
 #   obs_gate.sh       observability-plane contract (scrape, ledger, spans)
 #   large_gate.sh     sparse/sketched *_large workloads under a wall
 #                     timeout, plus sketch-vs-dense parity
@@ -21,7 +19,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-gates=(perf_gate accuracy_gate serve_gate serve_shard_gate obs_gate large_gate)
+gates=(perf_gate accuracy_gate serve_gate obs_gate large_gate)
 logdir="$(mktemp -d "${TMPDIR:-/tmp}/pathrep_ci.XXXXXX")"
 trap 'rm -rf "$logdir"' EXIT
 

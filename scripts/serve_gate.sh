@@ -7,6 +7,7 @@
 #   * the daemon's own error counter is zero,
 #   * the daemon exits 0 after a clean drain,
 #   * the Prometheus export carries the pathrep_serve_* families,
+#     including the reactor's pathrep_serve_shard_* ones,
 #   * the live obs-http plane (PATHREP_OBS_HTTP) answers /healthz and
 #     serves the pathrep_serve_* families on /metrics DURING the soak,
 #   * /slo.json evaluates the PATHREP_OBS_SLO objective (burn rate per
@@ -18,32 +19,24 @@
 # protocol and once over the compact binary protocol (loadgen --binary),
 # both bit-compared against the offline predictor.
 #
-# Usage: scripts/serve_gate.sh [--self-test] [--sharded] [--clients N] [--requests M]
+# Usage: scripts/serve_gate.sh [--self-test] [--clients N] [--requests M]
 #   --self-test  inject a deliberate expected-value mismatch into the
 #                loadgen and require the byte-identity check to FAIL
 #                (proves the gate trips).
-#   --sharded    run the daemon with PATHREP_SERVE_SHARDS=4 (the reactor
-#                runtime): same soaks, same byte-identity invariant, plus
-#                per-shard metric families in the Prometheus export.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 self_test=0
-sharded=0
 clients=8
 requests=50
 while [ $# -gt 0 ]; do
     case "$1" in
         --self-test) self_test=1; shift ;;
-        --sharded)   sharded=1; shift ;;
         --clients)   clients="$2"; shift 2 ;;
         --requests)  requests="$2"; shift 2 ;;
         *) echo "serve_gate.sh: unknown flag $1" >&2; exit 2 ;;
     esac
 done
-
-shards=0
-[ "$sharded" = 1 ] && shards=4
 
 WORK="${TMPDIR:-/tmp}/pathrep_serve_gate_$$"
 mkdir -p "$WORK"
@@ -70,11 +63,10 @@ DOCTOR=./target/release/pathrep-doctor
 
 "$CLIENT" build-artifact "$ARTIFACT"
 
-echo "serve_gate.sh: starting daemon on an ephemeral port (shards=$shards)"
+echo "serve_gate.sh: starting daemon on an ephemeral port"
 PATHREP_OBS=1 PATHREP_OBS_PROM="$PROM" PATHREP_OBS_LEDGER="$LEDGER" \
     PATHREP_OBS_HTTP=127.0.0.1:0 \
     PATHREP_OBS_SLO="serve.request_ns:p999<250ms:99.9" \
-    PATHREP_SERVE_SHARDS="$shards" \
     PATHREP_SERVE_ADDR=127.0.0.1:0 "$SERVE" > "$SERVE_LOG" 2>&1 &
 serve_pid=$!
 
@@ -96,11 +88,6 @@ if [ -z "$addr" ]; then
     exit 1
 fi
 echo "serve_gate.sh: daemon is listening on $addr"
-if [ "$sharded" = 1 ] && ! grep -q 'listening on .*shards=4' "$SERVE_LOG"; then
-    echo "serve_gate.sh: FAIL — daemon did not report the requested 4 shards:" >&2
-    cat "$SERVE_LOG" >&2
-    exit 1
-fi
 
 # The live telemetry plane prints its own address on a second line.
 obs_addr="$(sed -n 's/^pathrep-serve: obs http listening on \([0-9.:]*\)$/\1/p' "$SERVE_LOG" | head -1)"
@@ -224,8 +211,8 @@ if ! grep -q '^pathrep_serve_request_ns_count ' "$PROM"; then
     cat "$PROM" >&2
     exit 1
 fi
-if [ "$sharded" = 1 ] && ! grep -q '^pathrep_serve_shard_requests ' "$PROM"; then
-    echo "serve_gate.sh: FAIL — sharded run's Prometheus export lacks pathrep_serve_shard_* families" >&2
+if ! grep -q '^pathrep_serve_shard_requests ' "$PROM"; then
+    echo "serve_gate.sh: FAIL — Prometheus export lacks the reactor's pathrep_serve_shard_* families" >&2
     cat "$PROM" >&2
     exit 1
 fi
@@ -241,4 +228,4 @@ if ! printf '%s\n' "$doctor_out" | grep -q 'serve/model_load'; then
     printf '%s\n' "$doctor_out" >&2
     exit 1
 fi
-echo "serve_gate.sh: PASS — $((2 * clients * requests)) predictions (json + binary, shards=$shards) byte-identical, telemetry and ledger complete"
+echo "serve_gate.sh: PASS — $((2 * clients * requests)) predictions (json + binary) byte-identical, telemetry and ledger complete"
