@@ -10,7 +10,8 @@
 pub const ENV_OBS: &str = "PATHREP_OBS";
 /// Appends one JSON snapshot line per [`crate::report`] call.
 pub const ENV_JSON: &str = "PATHREP_OBS_JSON";
-/// Buffers span begin/end events and writes Chrome Trace Event JSON.
+/// Raises the flight ring to at least [`TRACE_CAPACITY`] records and
+/// writes it as Chrome Trace Event JSON at [`crate::report`].
 pub const ENV_TRACE: &str = "PATHREP_OBS_TRACE";
 /// Writes the final snapshot in Prometheus text exposition format.
 pub const ENV_PROM: &str = "PATHREP_OBS_PROM";
@@ -22,13 +23,6 @@ pub const ENV_RUN_ID: &str = "PATHREP_OBS_RUN_ID";
 /// `/healthz`, `/snapshot.json`); unset or blank disables it. `…:0`
 /// binds an ephemeral port (see [`crate::http`]).
 pub const ENV_HTTP: &str = "PATHREP_OBS_HTTP";
-/// Output path for folded-stack flamegraph lines written at
-/// [`crate::report`] when the span-stack profiler ran (see
-/// [`crate::profile`]); defaults to stdout when unset.
-pub const ENV_PROFILE: &str = "PATHREP_OBS_PROFILE";
-/// Sampling frequency (Hz, integer) of the span-stack profiler; unset or
-/// `0` disables sampling.
-pub const ENV_PROFILE_HZ: &str = "PATHREP_OBS_PROFILE_HZ";
 /// Worker-thread count for the parallel kernels (read by `pathrep-par`,
 /// registered here so the env-drift guard covers it): unset or `0` means
 /// available parallelism, `1` forces exact sequential execution. Results
@@ -96,8 +90,6 @@ pub const ALL_ENV_VARS: &[&str] = &[
     ENV_LEDGER,
     ENV_RUN_ID,
     ENV_HTTP,
-    ENV_PROFILE,
-    ENV_PROFILE_HZ,
     ENV_THREADS,
     ENV_SERVE_ADDR,
     ENV_SERVE_BATCH,
@@ -153,35 +145,31 @@ pub fn http_addr() -> Option<String> {
     path_from_env(ENV_HTTP)
 }
 
-/// The folded-stack profile output path (`PATHREP_OBS_PROFILE`).
-pub fn profile_path() -> Option<String> {
-    path_from_env(ENV_PROFILE)
-}
-
-/// The span-stack profiler sampling frequency in Hz
-/// (`PATHREP_OBS_PROFILE_HZ`): `None` when unset, blank, unparsable, or
-/// zero — sampling is then off.
-pub fn profile_hz() -> Option<u64> {
-    path_from_env(ENV_PROFILE_HZ)
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&hz| hz > 0)
-}
-
 /// Default flight-recorder ring capacity when `PATHREP_OBS_FLIGHT` is
 /// unset: small enough that the always-on ring is invisible in benchmarks,
 /// large enough to hold the last few hundred requests' span records.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
+/// Minimum flight-ring capacity when `PATHREP_OBS_TRACE` asks for a
+/// trace file: 2^16 records is ~6 MiB when full and several minutes of dense
+/// instrumentation. A saturated trace keeps the most recent records.
+pub const TRACE_CAPACITY: usize = 1 << 16;
+
 /// The flight-recorder ring capacity (`PATHREP_OBS_FLIGHT`): `None`
 /// disables recording (`0` or `off`), unset/unparsable falls back to
-/// [`DEFAULT_FLIGHT_CAPACITY`] — the recorder is on by default.
+/// [`DEFAULT_FLIGHT_CAPACITY`] — the recorder is on by default. A set
+/// `PATHREP_OBS_TRACE` raises the result to at least [`TRACE_CAPACITY`].
 pub fn flight_capacity() -> Option<usize> {
-    match path_from_env(ENV_FLIGHT) {
+    let cap = match path_from_env(ENV_FLIGHT) {
         None => Some(DEFAULT_FLIGHT_CAPACITY),
         Some(v) => match v.trim() {
             "0" | "off" | "false" | "no" => None,
             v => Some(v.parse::<usize>().unwrap_or(DEFAULT_FLIGHT_CAPACITY).max(16)),
         },
+    };
+    match trace_path() {
+        Some(_) => Some(cap.unwrap_or(0).max(TRACE_CAPACITY)),
+        None => cap,
     }
 }
 
@@ -262,13 +250,13 @@ mod tests {
     fn all_env_vars_lists_every_constant() {
         for v in [
             ENV_OBS, ENV_JSON, ENV_TRACE, ENV_PROM, ENV_LEDGER, ENV_RUN_ID, ENV_HTTP,
-            ENV_PROFILE, ENV_PROFILE_HZ, ENV_THREADS, ENV_SERVE_ADDR, ENV_SERVE_BATCH,
-            ENV_SERVE_QUEUE, ENV_SERVE_CACHE, ENV_SERVE_SHARDS, ENV_SERVE_PROTO,
-            ENV_FLIGHT, ENV_FLIGHT_DUMP, ENV_SLO,
+            ENV_THREADS, ENV_SERVE_ADDR, ENV_SERVE_BATCH, ENV_SERVE_QUEUE, ENV_SERVE_CACHE,
+            ENV_SERVE_SHARDS, ENV_SERVE_PROTO, ENV_FLIGHT, ENV_FLIGHT_DUMP, ENV_SLO,
             ENV_SERVE_WATCHDOG_MS, ENV_SKETCH_COLS, ENV_SKETCH_ITERS,
         ] {
             assert!(ALL_ENV_VARS.contains(&v));
         }
+        assert_eq!(ALL_ENV_VARS.len(), 20);
     }
 
     #[test]
@@ -284,6 +272,13 @@ mod tests {
         assert_eq!(flight_capacity(), Some(128));
         std::env::set_var(ENV_FLIGHT, "2");
         assert_eq!(flight_capacity(), Some(16), "tiny caps clamp up to 16");
+        // A trace path raises the ring to the trace capacity, even when
+        // the flight variable disabled it.
+        std::env::set_var(ENV_TRACE, "trace.json");
+        assert_eq!(flight_capacity(), Some(TRACE_CAPACITY));
+        std::env::set_var(ENV_FLIGHT, "0");
+        assert_eq!(flight_capacity(), Some(TRACE_CAPACITY));
+        std::env::remove_var(ENV_TRACE);
         std::env::remove_var(ENV_FLIGHT);
         assert_eq!(flight_capacity(), Some(DEFAULT_FLIGHT_CAPACITY));
     }

@@ -1,15 +1,16 @@
 //! Always-on flight recorder: a fixed-capacity ring of recent span
-//! begin/end and instant records, dumped when something goes wrong.
+//! begin/end and instant records — the crate's one span recorder.
 //!
-//! The Chrome-trace buffer in [`crate::trace`] is opt-in and unbounded in
-//! time (it keeps everything until saturation); the flight recorder is the
-//! opposite trade: **on by default** at a small capacity
+//! The ring is **on by default** at a small capacity
 //! ([`crate::config::DEFAULT_FLIGHT_CAPACITY`] records, tunable with
 //! `PATHREP_OBS_FLIGHT=<cap>`, `0` disables), overwriting the oldest
 //! record so it always holds the *most recent* activity. When a process
 //! panics, stalls, or is asked over the wire, [`dump_to`] renders the ring
 //! as a Chrome-trace-compatible JSON file — the black box recovered from
-//! the crash site.
+//! the crash site. `PATHREP_OBS_TRACE=<path>` turns the same ring into a
+//! run trace: the capacity rises to at least
+//! [`crate::config::TRACE_CAPACITY`] and [`crate::report`] dumps it to
+//! `<path>`.
 //!
 //! Because the ring overwrites, a raw dump would contain end records whose
 //! begins were evicted and begins whose spans were still open at dump
@@ -49,7 +50,8 @@ pub struct FlightRecord {
     pub phase: FlightPhase,
     /// Monotonic nanoseconds on the shared trace epoch.
     pub ts_ns: u64,
-    /// Per-thread id (same numbering as [`crate::trace`] events).
+    /// Per-thread trace id (pooled for worker-pool threads; see
+    /// [`crate::trace::worker_tid`]).
     pub tid: u64,
     /// Trace context active on the recording thread, if any.
     pub ctx: Option<TraceContext>,
@@ -180,10 +182,12 @@ pub fn reset() {
 /// Instant records render as `ph:"i"` thread-scoped marks carrying their
 /// note, and the overwrite count is surfaced as a leading metadata mark.
 pub fn render_chrome(records: &[FlightRecord], overwritten: u64, pid: u32) -> String {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     // Pass 1: match B/E per tid; remember which records survive.
-    // `stacks` maps tid -> indices of currently-open Begin records.
-    let mut stacks: HashMap<u64, Vec<usize>> = HashMap::new();
+    // `stacks` maps tid -> indices of currently-open Begin records; a
+    // BTreeMap so the synthetic ends below come out in tid order and the
+    // same records always render to the same bytes.
+    let mut stacks: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     let mut keep = vec![true; records.len()];
     for (i, r) in records.iter().enumerate() {
         match r.phase {
@@ -436,6 +440,44 @@ mod tests {
         assert!(json.contains("\"trace_id\":77"), "{json}");
         assert!(json.contains("\"synthetic_end\":true"), "{json}");
         assert!(json.contains("\"overwritten\":5"), "{json}");
+    }
+
+    #[test]
+    fn render_formats_timestamps_and_escapes_names() {
+        let records = [
+            rec("a\"b", FlightPhase::Begin, 1_500, 0),
+            rec("a\"b", FlightPhase::End, 2_000, 0),
+        ];
+        assert_eq!(
+            render_chrome(&records, 0, 42),
+            "[{\"name\":\"flight.overwritten\",\"ph\":\"i\",\"ts\":0.000,\"pid\":42,\
+             \"tid\":0,\"s\":\"g\",\"args\":{\"overwritten\":0}},\
+             {\"name\":\"a\\\"b\",\"ph\":\"B\",\"ts\":1.500,\"pid\":42,\"tid\":0,\
+             \"args\":{\"flight\":true}},\
+             {\"name\":\"a\\\"b\",\"ph\":\"E\",\"ts\":2.000,\"pid\":42,\"tid\":0,\
+             \"args\":{\"flight\":true}}]"
+        );
+    }
+
+    #[test]
+    fn render_is_deterministic_with_open_spans_on_many_tids() {
+        let records: Vec<FlightRecord> = (0..8u64)
+            .map(|tid| rec("open", FlightPhase::Begin, 10 + tid, tid))
+            .collect();
+        let first = render_chrome(&records, 0, 1);
+        for _ in 0..20 {
+            assert_eq!(render_chrome(&records, 0, 1), first);
+        }
+        // Synthetic ends follow tid order.
+        let v = crate::json::parse(&first).unwrap();
+        let end_tids: Vec<f64> = v
+            .array()
+            .unwrap()
+            .iter()
+            .filter(|e| e.field("ph").unwrap().string().unwrap() == "E")
+            .map(|e| e.field("tid").unwrap().number().unwrap())
+            .collect();
+        assert_eq!(end_tids, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Log-bucketed HDR histograms: bounded relative error at any scale,
-//! no preconfigured edges.
+//! no preconfigured edges — the registry's one histogram kind.
 //!
-//! The fixed-edge histograms in the registry are fine for quantities whose
-//! dynamic range is known up front (solver residuals span `1e-12..1e3`),
-//! but a latency distribution under load is exactly the case where the
-//! interesting mass — p999, p9999 — lands wherever the preconfigured
-//! edges are coarsest. An [`HdrHistogram`] instead buckets by the value's
-//! binary exponent with [`SUB_BUCKETS`] sub-buckets per octave, giving
-//! every bucket a relative width of at most `1/32 ≈ 3.1 %` (~2 %
-//! quantile error) regardless of magnitude. Bucket indexing is
-//! pure integer math on the `f64` bit pattern (no `log2` rounding
-//! hazards), so recording is deterministic and cheap.
+//! Every [`crate::histogram_record`] lands here, whether the quantity is
+//! a solver residual spanning `1e-12..1e3` or a request latency whose
+//! interesting mass (p999, p9999) sits wherever preconfigured edges
+//! would be coarsest. An [`HdrHistogram`] buckets by the value's binary
+//! exponent with [`SUB_BUCKETS`] sub-buckets per octave, giving every
+//! bucket a relative width of at most `1/32 ≈ 3.1 %` (~2 % quantile
+//! error) regardless of magnitude. Bucket indexing is pure integer math
+//! on the `f64` bit pattern (no `log2` rounding hazards), so recording is
+//! deterministic and cheap.
 //!
 //! Storage is a sparse `BTreeMap<u32, u64>` over occupied buckets: a
 //! latency histogram spanning `1 µs..10 s` touches a few hundred buckets,
@@ -18,10 +17,8 @@
 //!
 //! [`HdrHistogram::snapshot`] materializes the occupied buckets (with
 //! their *exact* lower and upper bounds) into a plain
-//! [`HistogramSnapshot`], so quantile estimation, the text report, JSON
-//! and the Prometheus exposition all reuse the existing fixed-edge
-//! machinery — an HDR histogram is indistinguishable downstream except
-//! for its tighter buckets.
+//! [`HistogramSnapshot`] of edges and counts, which quantile estimation,
+//! the text report, JSON and the Prometheus exposition all consume.
 
 use crate::snapshot::HistogramSnapshot;
 use std::collections::BTreeMap;

@@ -26,10 +26,10 @@
 //!   telemetry section after their tables.
 //! * `PATHREP_OBS_JSON=<path>` — additionally append one JSON line per
 //!   [`report`] call to `<path>`.
-//! * `PATHREP_OBS_TRACE=<path>` — buffer span begin/end timestamps and
-//!   write them at [`report`] as Chrome Trace Event JSON (open in
-//!   `chrome://tracing` or Perfetto); see [`trace`]. Requires
-//!   `PATHREP_OBS=1`.
+//! * `PATHREP_OBS_TRACE=<path>` — raise the flight ring to at least
+//!   [`config::TRACE_CAPACITY`] records and write it at [`report`] as
+//!   balanced Chrome Trace Event JSON (open in `chrome://tracing` or
+//!   Perfetto); see [`flight`]. Requires `PATHREP_OBS=1`.
 //! * `PATHREP_OBS_PROM=<path>` — write the snapshot at [`report`] in the
 //!   Prometheus text exposition format; see [`prom`].
 //! * `PATHREP_OBS_LEDGER=<path>` — append numerical-health records
@@ -41,18 +41,14 @@
 //! * `PATHREP_OBS_HTTP=<addr>` — serve `GET /metrics`, `/healthz` and
 //!   `/snapshot.json` from a background listener scraping the **live**
 //!   registry; see [`http`]. `…:0` binds an ephemeral port.
-//! * `PATHREP_OBS_PROFILE_HZ=<hz>` — sample every thread's live span
-//!   stack `<hz>` times per second and emit folded-stack flamegraph
-//!   lines at [`report`]; see [`profile`].
-//! * `PATHREP_OBS_PROFILE=<path>` — write the folded-stack lines to
-//!   `<path>` instead of stdout.
 //! * `PATHREP_THREADS=<n>` — worker count for the `pathrep-par` kernel
 //!   pool (registered in [`config::ALL_ENV_VARS`] so the drift guard
 //!   covers it); `1` = sequential, unset or `0` = available parallelism.
 //!   Results are bit-identical at any setting.
 //! * `PATHREP_OBS_FLIGHT=<cap>` — capacity of the always-on flight
-//!   recorder ring (see [`flight`]); unset means the default small
-//!   capacity, `0`/`off` disables it. Dumped on panic, stall, or request.
+//!   recorder ring (see [`flight`]), the one span recorder; unset means
+//!   the default small capacity, `0`/`off` disables it. Dumped on panic,
+//!   stall, request, or at [`report`] under `PATHREP_OBS_TRACE`.
 //! * `PATHREP_OBS_FLIGHT_DUMP=<path>` — where panic-hook/watchdog flight
 //!   dumps land (default `flight_<pid>.json`).
 //! * `PATHREP_OBS_SLO=<spec>` — declared latency objectives for the
@@ -86,7 +82,6 @@ pub mod http;
 pub mod json;
 pub mod ledger;
 pub mod prom;
-pub mod profile;
 mod registry;
 pub mod selftime;
 pub mod slo;
@@ -158,35 +153,15 @@ pub fn gauge_set(name: &'static str, value: f64) {
     }
 }
 
-/// Records `value` into the histogram `name` using the default
-/// logarithmic bucket edges (`1e-12, 1e-11, …, 1e3`), suitable for
-/// residuals and relative errors.
+/// Records `value` into the log-bucketed HDR histogram `name` (~2 %
+/// relative-error buckets at any scale, no preconfigured edges; see
+/// [`hdr`]), so residuals spanning decades and tail latencies
+/// (p999/p9999) both resolve. A recording made under a trace context may
+/// be kept as one of the histogram's [`EXEMPLAR_K`] slowest exemplars.
 #[inline]
 pub fn histogram_record(name: &'static str, value: f64) {
     if enabled() {
-        registry().histogram_record_slow(name, None, value);
-    }
-}
-
-/// Records `value` into the histogram `name` with explicit ascending
-/// bucket `edges` (applied on first touch; later calls reuse the
-/// registered edges).
-#[inline]
-pub fn histogram_record_with(name: &'static str, edges: &[f64], value: f64) {
-    if enabled() {
-        registry().histogram_record_slow(name, Some(edges), value);
-    }
-}
-
-/// Records `value` into the log-bucketed HDR histogram `name`
-/// (~2 % relative-error buckets at any scale; see [`hdr`]) — the right
-/// variant for latencies, where tail quantiles (p999/p9999) must resolve
-/// without preconfigured edges. The first recording call decides whether
-/// a name is fixed-edge or HDR.
-#[inline]
-pub fn histogram_record_hdr(name: &'static str, value: f64) {
-    if enabled() {
-        registry().histogram_record_hdr_slow(name, value);
+        registry().histogram_record_slow(name, value);
     }
 }
 
@@ -218,14 +193,12 @@ pub fn info(name: &'static str, message: impl FnOnce() -> String) {
     }
 }
 
-/// Clears every metric in the global registry, the trace buffer, the
-/// ledger buffer, the flight ring, the window ring and the calling
-/// thread's pending work tallies (tests and long-lived embedders).
+/// Clears every metric in the global registry, the ledger buffer, the
+/// flight ring, the window ring and the calling thread's pending work
+/// tallies (tests and long-lived embedders).
 pub fn reset() {
     registry().reset();
-    trace::reset();
     ledger::reset();
-    profile::reset();
     flight::reset();
     window::reset();
     work::reset_thread();
@@ -236,7 +209,7 @@ pub fn reset() {
 /// stdout and honours the export environment variables —
 /// `PATHREP_OBS_JSON=<path>` appends one JSON line
 /// `{"label": …, "snapshot": …}`, `PATHREP_OBS_TRACE=<path>` writes the
-/// buffered spans as Chrome Trace Event JSON, and
+/// flight ring as balanced Chrome Trace Event JSON,
 /// `PATHREP_OBS_PROM=<path>` writes the snapshot in the Prometheus text
 /// exposition format, and `PATHREP_OBS_LEDGER=<path>` drains the
 /// numerical-health ledger as JSON Lines (this one works even when
@@ -258,28 +231,10 @@ pub fn report(label: &str) {
         config::export_or_warn("snapshot", &path, |p| append_json_line(p, label, &snap));
     }
     if let Some(path) = config::trace_path() {
-        config::export_or_warn("trace", &path, trace::write_chrome_trace);
+        config::export_or_warn("trace", &path, |p| flight::dump_to(p).map(drop));
     }
     if let Some(path) = config::prom_path() {
         config::export_or_warn("prometheus", &path, |p| prom::write_prometheus(p, &snap));
-    }
-    if profile::collecting() && profile::samples_taken() > 0 {
-        match config::profile_path() {
-            Some(path) => {
-                println!(
-                    "profile: {} folded-stack samples -> {path}",
-                    profile::samples_taken()
-                );
-                config::export_or_warn("profile", &path, profile::write_folded);
-            }
-            None => {
-                println!(
-                    "profile: {} folded-stack samples",
-                    profile::samples_taken()
-                );
-                print!("{}", profile::render_folded());
-            }
-        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! [`render_prometheus`] turns every section of a snapshot into the
 //! Prometheus text exposition format (version 0.0.4): counters become
 //! `counter` families, gauges `gauge`, histograms `histogram` with
-//! cumulative `_bucket` series (`le` labels from the fixed bucket edges)
+//! cumulative `_bucket` series (`le` labels from the snapshot bucket edges)
 //! plus `_sum`/`_count`, and span aggregates become two labelled counter
 //! families. Metric names are sanitized to `[a-zA-Z_][a-zA-Z0-9_]*` and
 //! prefixed `pathrep_` so they scrape cleanly next to other exporters.

@@ -19,12 +19,6 @@ pub const EXEMPLAR_K: usize = 4;
 /// unboundedly; later events only bump the drop counter.
 pub const MAX_EVENTS: usize = 256;
 
-/// Default histogram bucket edges: decades from `1e-12` to `1e3`,
-/// matching the dynamic range of solver residuals and relative errors.
-pub fn default_edges() -> Vec<f64> {
-    (-12..=3).map(|e| 10.0_f64.powi(e)).collect()
-}
-
 /// Event severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
@@ -63,55 +57,17 @@ pub(crate) struct SpanStats {
     pub max_ns: u64,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct HistogramData {
-    pub edges: Vec<f64>,
-    /// `edges.len() + 1` buckets: `(-inf, e0], (e0, e1], …, (e_last, inf)`.
-    pub counts: Vec<u64>,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-impl HistogramData {
-    fn new(edges: Vec<f64>) -> Self {
-        let n = edges.len() + 1;
-        HistogramData {
-            edges,
-            counts: vec![0; n],
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn record(&mut self, value: f64) {
-        let idx = self
-            .edges
-            .iter()
-            .position(|&e| value <= e)
-            .unwrap_or(self.edges.len());
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, HistogramData>,
-    /// Log-bucketed HDR histograms (see [`crate::hdr`]); a name lives in
-    /// either this map or `histograms`, decided by the first recording
-    /// call, exactly like first-touch bucket edges.
-    hdr_histograms: BTreeMap<&'static str, HdrHistogram>,
+    /// Log-bucketed HDR histograms (see [`crate::hdr`]).
+    histograms: BTreeMap<&'static str, HdrHistogram>,
     /// Aggregated span statistics keyed by full slash path.
     spans: BTreeMap<String, SpanStats>,
     events: Vec<Event>,
     events_dropped: u64,
-    /// Per-HDR-histogram top-[`EXEMPLAR_K`] slowest observations that
+    /// Per-histogram top-[`EXEMPLAR_K`] slowest observations that
     /// carried a trace context, sorted descending by value. Drained by
     /// the window sampler each epoch (the window ring then owns them).
     exemplars: BTreeMap<&'static str, Vec<(f64, TraceContext)>>,
@@ -170,26 +126,11 @@ impl Registry {
         self.inner.lock().gauges.insert(name, value);
     }
 
-    pub(crate) fn histogram_record_slow(
-        &self,
-        name: &'static str,
-        edges: Option<&[f64]>,
-        value: f64,
-    ) {
-        let mut g = self.inner.lock();
-        g.histograms
-            .entry(name)
-            .or_insert_with(|| {
-                HistogramData::new(edges.map(<[f64]>::to_vec).unwrap_or_else(default_edges))
-            })
-            .record(value);
-    }
-
-    pub(crate) fn histogram_record_hdr_slow(&self, name: &'static str, value: f64) {
+    pub(crate) fn histogram_record_slow(&self, name: &'static str, value: f64) {
         // Read the thread-local trace context before taking the lock.
         let ctx = crate::trace::current_context();
         let mut g = self.inner.lock();
-        g.hdr_histograms
+        g.histograms
             .entry(name)
             .or_insert_with(HdrHistogram::new)
             .record(value);
@@ -241,7 +182,7 @@ impl Registry {
     }
 
     /// Takes a cumulative sample of the windowable metrics — counter
-    /// values and HDR histograms — for the sliding-window ring (see
+    /// values and histograms — for the sliding-window ring (see
     /// [`crate::window`]). When `drain_exemplars` is set (the 1 Hz epoch
     /// sampler), the current exemplar set moves into the sample so each
     /// ring entry owns that epoch's exemplars; read-side captures leave
@@ -261,7 +202,7 @@ impl Registry {
                 .map(|(&name, &v)| (name.to_owned(), v))
                 .collect(),
             hdr: g
-                .hdr_histograms
+                .histograms
                 .iter()
                 .map(|(&name, h)| (name.to_owned(), h.clone()))
                 .collect(),
@@ -321,26 +262,11 @@ impl Registry {
                 value,
             })
             .collect();
-        let mut histograms: Vec<HistogramSnapshot> = g
+        let histograms: Vec<HistogramSnapshot> = g
             .histograms
             .iter()
-            .map(|(&name, h)| {
-                let count: u64 = h.counts.iter().sum();
-                HistogramSnapshot {
-                    name: name.to_owned(),
-                    edges: h.edges.clone(),
-                    counts: h.counts.clone(),
-                    count,
-                    sum: h.sum,
-                    min: if count > 0 { h.min } else { 0.0 },
-                    max: if count > 0 { h.max } else { 0.0 },
-                }
-            })
+            .map(|(&name, h)| h.snapshot(name))
             .collect();
-        // HDR histograms materialize to the same snapshot shape; merge
-        // and re-sort so the combined list stays ordered by name.
-        histograms.extend(g.hdr_histograms.iter().map(|(&name, h)| h.snapshot(name)));
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         let events = g
             .events
             .iter()

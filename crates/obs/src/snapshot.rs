@@ -66,7 +66,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Estimates the `q`-quantile (`q` in `[0, 1]`) by linear
-    /// interpolation within the fixed bucket edges: the target rank is
+    /// interpolation within the snapshot's bucket edges: the target rank is
     /// located in the cumulative bucket counts and interpolated between
     /// the bucket's bounds (clamped to the observed `min`/`max`, which
     /// also bound the open-ended first bucket). Exact extremes short-cut

@@ -15,16 +15,10 @@ thread_local! {
 pub struct SpanGuard {
     /// `None` when telemetry was disabled at entry — drop is then free.
     started: Option<Instant>,
-    /// Leaf name, kept for the trace end event.
+    /// Leaf name, kept for the flight end record.
     name: &'static str,
-    /// Whether a trace begin event was buffered (its end slot is reserved).
-    traced: bool,
-    /// Whether a profiler shadow-stack frame was pushed (pop on drop).
-    profiled: bool,
-    /// Whether a flight-recorder begin was pushed (record the end on
-    /// drop). Unlike the trace buffer the flight ring never refuses a
-    /// record, so this mirrors `flight::collecting()` at entry.
-    flight: bool,
+    /// Whether a flight-ring begin was recorded (record the end on drop).
+    recorded: bool,
 }
 
 impl SpanGuard {
@@ -34,9 +28,7 @@ impl SpanGuard {
             return SpanGuard {
                 started: None,
                 name,
-                traced: false,
-                profiled: false,
-                flight: false,
+                recorded: false,
             };
         }
         SPAN_PATHS.with(|stack| {
@@ -53,18 +45,14 @@ impl SpanGuard {
             };
             stack.push(path);
         });
-        let traced = crate::trace::collecting() && crate::trace::record_begin(name);
-        let profiled = crate::profile::push_frame(name);
-        let flight = crate::flight::collecting();
-        if flight {
+        let recorded = crate::flight::collecting();
+        if recorded {
             crate::flight::record_begin(name);
         }
         SpanGuard {
             started: Some(Instant::now()),
             name,
-            traced,
-            profiled,
-            flight,
+            recorded,
         }
     }
 }
@@ -90,33 +78,17 @@ pub fn current_span_path() -> Option<String> {
 #[must_use = "the parent path is adopted only while the guard lives"]
 pub struct ParentSpanGuard {
     adopted: bool,
-    /// Whether a profiler shadow-stack frame was pushed for the adopted
-    /// path (pop on drop).
-    profiled: bool,
 }
 
 /// Pushes `path` (a value from [`current_span_path`], captured on the
 /// submitting thread) as the parent for spans subsequently opened on this
 /// thread. No-op when `path` is `None` or telemetry is disabled.
 pub fn adopt_span_parent(path: Option<String>) -> ParentSpanGuard {
-    let Some(path) = path else {
-        return ParentSpanGuard {
-            adopted: false,
-            profiled: false,
-        };
+    let Some(path) = path.filter(|_| crate::enabled()) else {
+        return ParentSpanGuard { adopted: false };
     };
-    if !crate::enabled() {
-        return ParentSpanGuard {
-            adopted: false,
-            profiled: false,
-        };
-    }
-    let profiled = crate::profile::push_adopted(&path);
     SPAN_PATHS.with(|stack| stack.borrow_mut().push(path));
-    ParentSpanGuard {
-        adopted: true,
-        profiled,
-    }
+    ParentSpanGuard { adopted: true }
 }
 
 impl Drop for ParentSpanGuard {
@@ -132,9 +104,6 @@ impl Drop for ParentSpanGuard {
                 stack.borrow_mut().pop();
             });
         }
-        if self.profiled {
-            crate::profile::pop_frame();
-        }
     }
 }
 
@@ -147,14 +116,8 @@ impl Drop for SpanGuard {
         // accumulator (a no-op when the kernels inside recorded nothing).
         crate::work::flush();
         let duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if self.traced {
-            crate::trace::record_end(self.name);
-        }
-        if self.flight {
+        if self.recorded {
             crate::flight::record_end(self.name);
-        }
-        if self.profiled {
-            crate::profile::pop_frame();
         }
         let path = SPAN_PATHS.with(|stack| stack.borrow_mut().pop());
         if let Some(path) = path {

@@ -1,49 +1,18 @@
-//! Chrome Trace Event Format export of span begin/end timestamps.
+//! Trace identity shared by every span record: the cross-process
+//! [`TraceContext`], the monotonic trace clock and per-thread trace ids.
 //!
-//! When trace collection is on (see [`collecting`]), every [`crate::span!`]
-//! guard records a begin event at entry and an end event at drop into a
-//! bounded global buffer; [`render_chrome_trace`] serializes the buffer as a
-//! Trace Event Format JSON array (`ph:"B"`/`ph:"E"` duration events)
-//! loadable in `chrome://tracing` or Perfetto.
+//! The span begin/end records themselves live in the flight ring
+//! ([`crate::flight`]), the one span recorder; `PATHREP_OBS_TRACE=<path>`
+//! enlarges that ring and writes it at [`crate::report`].
 //!
 //! Timestamps are monotonic nanoseconds since the trace epoch (the first
-//! recorded event after process start or [`crate::reset`]), never
-//! wall-clock, so traces are immune to clock adjustments and trivially
-//! diffable across runs.
-//!
-//! The buffer is bounded ([`TRACE_CAPACITY`] events) so a pathological loop
-//! cannot grow memory without limit. Saturation drops whole spans — a begin
-//! event is only accepted when its matching end event is guaranteed a slot —
-//! which keeps the exported stream balanced; dropped spans are counted and
-//! surfaced through [`dropped_spans`].
+//! clock read after process start), never wall-clock, so traces are immune
+//! to clock adjustments and trivially diffable across runs.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Cap on buffered trace events (begin + end both count). 2^16 events is
-/// ~2 MiB and several minutes of dense instrumentation.
-pub const TRACE_CAPACITY: usize = 1 << 16;
-
-/// Phase of a trace event, mirroring the Trace Event Format `ph` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// `ph:"B"` — span entry.
-    Begin,
-    /// `ph:"E"` — span exit.
-    End,
-}
-
-impl Phase {
-    /// The Trace Event Format `ph` string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Begin => "B",
-            Phase::End => "E",
-        }
-    }
-}
 
 /// Cross-process trace correlation ids, propagated over the serve wire
 /// protocol and stamped on every span event recorded while a
@@ -94,46 +63,13 @@ pub fn current_context() -> Option<TraceContext> {
     TRACE_CTX.with(|c| c.get())
 }
 
-/// One recorded begin or end event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Span leaf name (the argument to [`crate::span!`]).
-    pub name: &'static str,
-    /// Begin or end.
-    pub phase: Phase,
-    /// Monotonic nanoseconds since the trace epoch.
-    pub ts_ns: u64,
-    /// Small sequential per-thread id (first traced thread = 0).
-    pub tid: u64,
-    /// Trace context active on the recording thread, if any.
-    pub ctx: Option<TraceContext>,
-}
-
-struct TraceBuf {
-    events: Vec<TraceEvent>,
-    /// Open begin events whose end slot is reserved.
-    reserved: usize,
-    dropped_spans: u64,
-}
-
-fn buf() -> &'static Mutex<TraceBuf> {
-    static BUF: OnceLock<Mutex<TraceBuf>> = OnceLock::new();
-    BUF.get_or_init(|| {
-        Mutex::new(TraceBuf {
-            events: Vec::new(),
-            reserved: 0,
-            dropped_spans: 0,
-        })
-    })
-}
-
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Monotonic nanoseconds since the trace epoch (shared with the flight
-/// recorder so flight dumps and traces line up on one time axis).
+/// Monotonic nanoseconds since the trace epoch (the one time axis of
+/// flight records and window samples).
 pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
@@ -171,10 +107,11 @@ pub struct WorkerTidGuard {
 /// lifetime. Scoped worker pools spawn fresh OS threads per parallel
 /// region; without pooling, each would burn a brand-new sequential tid and
 /// a trace viewer would show thousands of one-shot rows. Pool ids start at
-/// [`WORKER_TID_BASE`] and are reused, so all pool work lands on a small
-/// stable set of rows. No-op when trace collection is off.
+/// `WORKER_TID_BASE` (10^6) and are reused, so all pool work lands on a small
+/// stable set of rows. No-op (no pool lock taken) unless telemetry is on
+/// and the flight ring is recording.
 pub fn worker_tid() -> WorkerTidGuard {
-    if !collecting() {
+    if !(crate::enabled() && crate::flight::collecting()) {
         return WorkerTidGuard {
             tid: None,
             prev: NO_OVERRIDE,
@@ -200,6 +137,9 @@ impl Drop for WorkerTidGuard {
     }
 }
 
+/// This thread's trace tid: its pooled worker tid while a
+/// [`WorkerTidGuard`] is live, else a small sequential per-thread id
+/// (first recording thread = 0).
 pub(crate) fn thread_id() -> u64 {
     let overridden = TID_OVERRIDE.with(|c| c.get());
     if overridden != NO_OVERRIDE {
@@ -212,187 +152,9 @@ pub(crate) fn thread_id() -> u64 {
     TID.with(|&t| t)
 }
 
-/// 0 = undecided (read env on first query), 1 = off, 2 = on.
-static COLLECTING: AtomicU8 = AtomicU8::new(0);
-
-/// Whether span begin/end events are being buffered. The first call
-/// resolves the `PATHREP_OBS_TRACE` environment variable (any non-empty
-/// value enables collection); later calls are a single relaxed atomic load.
-/// Note that spans only fire at all when [`crate::enabled`] is also true.
-#[inline]
-pub fn collecting() -> bool {
-    match COLLECTING.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_collecting(),
-    }
-}
-
-#[cold]
-fn init_collecting() -> bool {
-    let on = crate::config::trace_path().is_some();
-    COLLECTING.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Programmatically enables or disables trace collection, overriding the
-/// environment (used by tests and embedding applications).
-pub fn set_collecting(on: bool) {
-    COLLECTING.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Records a begin event. Returns `true` when the event was buffered (the
-/// caller must then emit the matching [`record_end`]), `false` when the
-/// buffer is saturated and the whole span is dropped.
-pub(crate) fn record_begin(name: &'static str) -> bool {
-    let tid = thread_id();
-    let mut g = buf().lock();
-    // Accept only when the matching end event has a guaranteed slot, so the
-    // exported stream always carries balanced B/E pairs.
-    if g.events.len() + g.reserved + 2 > TRACE_CAPACITY {
-        g.dropped_spans += 1;
-        return false;
-    }
-    g.reserved += 1;
-    // Timestamp under the lock: the buffer then stays globally sorted.
-    let ts_ns = now_ns();
-    g.events.push(TraceEvent {
-        name,
-        phase: Phase::Begin,
-        ts_ns,
-        tid,
-        ctx: current_context(),
-    });
-    true
-}
-
-/// Records the end event for a begin previously accepted by
-/// [`record_begin`]; its slot was reserved there.
-pub(crate) fn record_end(name: &'static str) {
-    let tid = thread_id();
-    let mut g = buf().lock();
-    g.reserved = g.reserved.saturating_sub(1);
-    let ts_ns = now_ns();
-    g.events.push(TraceEvent {
-        name,
-        phase: Phase::End,
-        ts_ns,
-        tid,
-        ctx: current_context(),
-    });
-}
-
-/// A copy of the buffered events, in record order (chronological; per
-/// thread the B/E nesting is exactly the span nesting).
-pub fn events() -> Vec<TraceEvent> {
-    buf().lock().events.clone()
-}
-
-/// Number of spans dropped because the buffer was saturated.
-pub fn dropped_spans() -> u64 {
-    buf().lock().dropped_spans
-}
-
-/// Clears the buffer and the drop counter (spans still open keep their
-/// reservation so their end events match nothing and are discarded by
-/// viewers — acceptable for the reset-between-tests use case).
-pub(crate) fn reset() {
-    let mut g = buf().lock();
-    g.events.clear();
-    g.reserved = 0;
-    g.dropped_spans = 0;
-}
-
-/// Renders `events` as a Trace Event Format JSON array. `pid` is the
-/// process id stamped on every event.
-pub fn render_chrome_trace(events: &[TraceEvent], pid: u32) -> String {
-    let mut out = String::with_capacity(events.len() * 64 + 2);
-    out.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // `ts` is microseconds by convention; keep full nanosecond
-        // precision in the fraction.
-        let micros = e.ts_ns / 1_000;
-        let frac = e.ts_ns % 1_000;
-        let args = match e.ctx {
-            Some(ctx) => format!(
-                ",\"args\":{{\"trace_id\":{},\"request_seq\":{}}}",
-                ctx.trace_id, ctx.request_seq
-            ),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "{{\"name\":{},\"ph\":\"{}\",\"ts\":{micros}.{frac:03},\"pid\":{pid},\"tid\":{}{args}}}",
-            crate::json::escape_string(e.name),
-            e.phase.as_str(),
-            e.tid,
-        ));
-    }
-    out.push(']');
-    out
-}
-
-/// Writes the current buffer to `path` as Trace Event JSON.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_chrome_trace(path: &str) -> std::io::Result<()> {
-    let evts = events();
-    std::fs::write(path, render_chrome_trace(&evts, std::process::id()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_escapes_and_orders() {
-        let evts = [
-            TraceEvent {
-                name: "a",
-                phase: Phase::Begin,
-                ts_ns: 1_500,
-                tid: 0,
-                ctx: None,
-            },
-            TraceEvent {
-                name: "a",
-                phase: Phase::End,
-                ts_ns: 2_000,
-                tid: 0,
-                ctx: None,
-            },
-        ];
-        let json = render_chrome_trace(&evts, 42);
-        assert_eq!(
-            json,
-            "[{\"name\":\"a\",\"ph\":\"B\",\"ts\":1.500,\"pid\":42,\"tid\":0},\
-             {\"name\":\"a\",\"ph\":\"E\",\"ts\":2.000,\"pid\":42,\"tid\":0}]"
-        );
-    }
-
-    #[test]
-    fn render_stamps_trace_context_as_args() {
-        let evts = [TraceEvent {
-            name: "req",
-            phase: Phase::Begin,
-            ts_ns: 1_000,
-            tid: 3,
-            ctx: Some(TraceContext {
-                trace_id: 77,
-                request_seq: 5,
-            }),
-        }];
-        let json = render_chrome_trace(&evts, 9);
-        assert_eq!(
-            json,
-            "[{\"name\":\"req\",\"ph\":\"B\",\"ts\":1.000,\"pid\":9,\"tid\":3,\
-             \"args\":{\"trace_id\":77,\"request_seq\":5}}]"
-        );
-    }
 
     #[test]
     fn context_guard_nests_and_restores() {

@@ -258,13 +258,13 @@ mod tests {
         reset();
         crate::counter_add("win.test.requests", 100);
         for _ in 0..100 {
-            crate::histogram_record_hdr("win.test.latency_ns", 1.0e6);
+            crate::histogram_record("win.test.latency_ns", 1.0e6);
         }
         sample_now();
         std::thread::sleep(std::time::Duration::from_millis(150));
         crate::counter_add("win.test.requests", 30);
         for _ in 0..30 {
-            crate::histogram_record_hdr("win.test.latency_ns", 4.0e6);
+            crate::histogram_record("win.test.latency_ns", 4.0e6);
         }
         let windows = read();
         assert!(!windows.is_empty(), "a base sample exists");
@@ -302,7 +302,7 @@ mod tests {
                 trace_id: 1111,
                 request_seq: 1,
             });
-            crate::histogram_record_hdr("win.ex.latency_ns", 7.0e6);
+            crate::histogram_record("win.ex.latency_ns", 7.0e6);
         }
         sample_now(); // drains the first exemplar into the ring
         {
@@ -310,7 +310,7 @@ mod tests {
                 trace_id: 2222,
                 request_seq: 2,
             });
-            crate::histogram_record_hdr("win.ex.latency_ns", 9.0e6);
+            crate::histogram_record("win.ex.latency_ns", 9.0e6);
         }
         // Both the drained and the still-current exemplar surface.
         let merged = merged_exemplars(

@@ -1,10 +1,11 @@
 //! Integration tests for the export backends: Prometheus text exposition
-//! and Chrome Trace Event JSON.
+//! and Chrome Trace Event JSON rendered from the flight ring.
 //!
 //! Like `telemetry.rs`, every test serializes on [`guard`] because the
-//! registry, the enabled flag and the trace buffer are process-global.
+//! registry, the enabled flag and the flight ring are process-global.
 
-use pathrep_obs::trace::{Phase, TraceEvent};
+use pathrep_obs::config::TRACE_CAPACITY;
+use pathrep_obs::flight::{self, FlightPhase, FlightRecord};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
@@ -91,9 +92,8 @@ fn prometheus_round_trips_a_synthetic_snapshot() {
     }
     pathrep_obs::counter_add("linalg.svd.qr_sweeps", 42);
     pathrep_obs::gauge_set("eval.pipeline.target_paths", 137.0);
-    let edges = [1.0, 2.0, 4.0];
     for v in [0.5, 1.5, 1.5, 3.0, 9.0] {
-        pathrep_obs::histogram_record_with("convopt.admm.residual", &edges, v);
+        pathrep_obs::histogram_record("convopt.admm.residual", v);
     }
     let snap = pathrep_obs::registry().snapshot();
     let text = pathrep_obs::prom::render_prometheus(&snap);
@@ -116,20 +116,30 @@ fn prometheus_round_trips_a_synthetic_snapshot() {
     assert_eq!(by_name("pathrep_linalg_svd_qr_sweeps")[0].value, 42.0);
     assert_eq!(by_name("pathrep_eval_pipeline_target_paths")[0].value, 137.0);
 
-    // Histogram: cumulative buckets with `le` labels from the edges, then
-    // the +Inf bucket equal to _count.
+    // Histogram: cumulative buckets with ascending `le` labels from the
+    // HDR bucket bounds, each value just under its own bound, then the
+    // +Inf bucket equal to _count.
     let buckets = by_name("pathrep_convopt_admm_residual_bucket");
-    assert_eq!(buckets.len(), 4);
-    let le = |s: &Sample| s.labels.get("le").cloned().expect("bucket has le");
-    assert_eq!(
-        buckets.iter().map(|s| le(s)).collect::<Vec<_>>(),
-        ["1", "2", "4", "+Inf"]
-    );
-    assert_eq!(
-        buckets.iter().map(|s| s.value).collect::<Vec<_>>(),
-        [1.0, 3.0, 4.0, 5.0],
+    let le = |s: &Sample| -> f64 {
+        match s.labels.get("le").expect("bucket has le").as_str() {
+            "+Inf" => f64::INFINITY,
+            v => v.parse().expect("numeric le"),
+        }
+    };
+    assert_eq!(le(buckets[buckets.len() - 1]), f64::INFINITY);
+    assert!(buckets.windows(2).all(|w| le(w[0]) < le(w[1])), "le ascends");
+    assert!(
+        buckets.windows(2).all(|w| w[0].value <= w[1].value),
         "buckets must be cumulative"
     );
+    assert_eq!(buckets[buckets.len() - 1].value, 5.0);
+    for (v, below) in [(0.5, 1.0), (1.5, 3.0), (3.0, 4.0), (9.0, 5.0)] {
+        // HDR buckets are [lo, hi): the first bound above v holds the
+        // cumulative count of values ≤ v, and lies within 1/32 of v.
+        let b = buckets.iter().find(|s| le(s) > v).expect("a bucket bounds v");
+        assert_eq!(b.value, below, "cumulative count at {v}");
+        assert!(le(b) <= v * (1.0 + 1.0 / 32.0), "bound {} too far above {v}", le(b));
+    }
     assert_eq!(by_name("pathrep_convopt_admm_residual_count")[0].value, 5.0);
     assert!((by_name("pathrep_convopt_admm_residual_sum")[0].value - 15.5).abs() < 1e-12);
 
@@ -157,20 +167,18 @@ fn histogram_quantiles_interpolate_within_buckets() {
     let _l = guard();
     pathrep_obs::set_enabled(true);
     pathrep_obs::reset();
-    let edges = [10.0, 20.0, 40.0];
-    // 10 values ≤ 10 (exactly 2..=10 step…): use uniform fill per bucket.
     for _ in 0..10 {
-        pathrep_obs::histogram_record_with("q.hist", &edges, 5.0);
+        pathrep_obs::histogram_record("q.hist", 5.0);
     }
     for _ in 0..10 {
-        pathrep_obs::histogram_record_with("q.hist", &edges, 15.0);
+        pathrep_obs::histogram_record("q.hist", 15.0);
     }
     let snap = pathrep_obs::registry().snapshot();
     let h = snap.histograms.iter().find(|h| h.name == "q.hist").unwrap();
-    // p50 sits exactly at the first bucket's upper boundary (10 of 20
-    // observations ≤ min(edge 10, max 15) interpolates to the bucket top).
+    // p50 is the 10th of 20 observations: the top of 5.0's bucket, which
+    // is at most 1/32 above 5.0.
     let p50 = h.quantile(0.50);
-    assert!((p50 - 10.0).abs() < 1e-9, "p50 = {p50}");
+    assert!((5.0..=5.0 * (1.0 + 1.0 / 32.0)).contains(&p50), "p50 = {p50}");
     // p100 clamps to the observed max, p0 to ≥ min.
     assert_eq!(h.quantile(1.0), 15.0);
     assert!(h.quantile(0.0) >= 5.0 - 1e-9);
@@ -207,27 +215,28 @@ fn dropped_events_are_loud_in_the_text_report() {
 // Chrome trace export
 // ---------------------------------------------------------------------
 
-/// Asserts every `tid`'s event stream is a balanced, properly nested B/E
-/// sequence with non-decreasing timestamps, and returns the span names
-/// seen.
-fn check_balanced(events: &[TraceEvent]) -> Vec<&'static str> {
+/// Asserts every `tid`'s span records form a balanced, properly nested
+/// B/E sequence with non-decreasing timestamps, and returns the span
+/// names seen.
+fn check_balanced(records: &[FlightRecord]) -> Vec<&'static str> {
     let mut stacks: HashMap<u64, Vec<&'static str>> = HashMap::new();
     let mut last_ts: HashMap<u64, u64> = HashMap::new();
     let mut names = Vec::new();
-    for e in events {
-        let prev = last_ts.entry(e.tid).or_insert(0);
-        assert!(e.ts_ns >= *prev, "timestamps regress on tid {}", e.tid);
-        *prev = e.ts_ns;
-        let stack = stacks.entry(e.tid).or_default();
-        match e.phase {
-            Phase::Begin => {
-                stack.push(e.name);
-                names.push(e.name);
+    for r in records {
+        let prev = last_ts.entry(r.tid).or_insert(0);
+        assert!(r.ts_ns >= *prev, "timestamps regress on tid {}", r.tid);
+        *prev = r.ts_ns;
+        let stack = stacks.entry(r.tid).or_default();
+        match r.phase {
+            FlightPhase::Begin => {
+                stack.push(r.name);
+                names.push(r.name);
             }
-            Phase::End => {
+            FlightPhase::End => {
                 let open = stack.pop().expect("E without open B");
-                assert_eq!(open, e.name, "mismatched B/E pair");
+                assert_eq!(open, r.name, "mismatched B/E pair");
             }
+            FlightPhase::Instant => {}
         }
     }
     for (tid, stack) in stacks {
@@ -236,12 +245,38 @@ fn check_balanced(events: &[TraceEvent]) -> Vec<&'static str> {
     names
 }
 
+/// Asserts a rendered Chrome trace is a well-formed Trace Event array
+/// whose B/E events balance per tid, and returns its item count.
+fn check_rendered(json: &str, pid: f64) -> usize {
+    let v = pathrep_obs::json::parse(json).expect("valid JSON");
+    let items = v.array().expect("top-level array");
+    let mut depth: HashMap<u64, i64> = HashMap::new();
+    for item in items {
+        assert!(!item.field("name").unwrap().string().unwrap().is_empty());
+        assert_eq!(item.field("pid").unwrap().number().unwrap(), pid);
+        item.field("ts").unwrap().number().unwrap();
+        let tid = item.field("tid").unwrap().number().unwrap() as u64;
+        let d = depth.entry(tid).or_insert(0);
+        match item.field("ph").unwrap().string().unwrap().as_str() {
+            "B" => *d += 1,
+            "E" => {
+                *d -= 1;
+                assert!(*d >= 0, "E without open B on tid {tid}");
+            }
+            "i" => {}
+            other => panic!("unexpected phase {other}"),
+        }
+    }
+    assert!(depth.values().all(|&d| d == 0), "unbalanced render: {depth:?}");
+    items.len()
+}
+
 #[test]
 fn trace_export_is_balanced_under_nested_and_threaded_spans() {
     let _l = guard();
     pathrep_obs::set_enabled(true);
+    flight::set_capacity(TRACE_CAPACITY);
     pathrep_obs::reset();
-    pathrep_obs::trace::set_collecting(true);
     {
         let _outer = pathrep_obs::span!("outer");
         {
@@ -257,51 +292,49 @@ fn trace_export_is_balanced_under_nested_and_threaded_spans() {
         })
         .expect("no worker panics");
     }
-    let events = pathrep_obs::trace::events();
-    pathrep_obs::trace::set_collecting(false);
-    let names = check_balanced(&events);
-    assert_eq!(events.len(), 2 * names.len());
+    let (records, overwritten) = flight::snapshot();
+    assert_eq!(overwritten, 0);
+    let names = check_balanced(&records);
+    assert_eq!(records.len(), 2 * names.len());
     assert_eq!(names.iter().filter(|&&n| n == "outer").count(), 1);
     assert_eq!(names.iter().filter(|&&n| n == "inner").count(), 1);
     assert_eq!(names.iter().filter(|&&n| n == "worker").count(), 4);
     assert_eq!(names.iter().filter(|&&n| n == "kernel").count(), 4);
     // More than one thread contributed.
-    let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
+    let tids: std::collections::BTreeSet<u64> = records.iter().map(|r| r.tid).collect();
     assert!(tids.len() >= 2, "expected multiple tids, got {tids:?}");
 
-    // The JSON rendering is a well-formed Trace Event array whose entries
-    // carry exactly the expected fields.
-    let json = pathrep_obs::trace::render_chrome_trace(&events, 7);
-    let v = pathrep_obs::json::parse(&json).expect("valid JSON");
-    let items = v.array().expect("top-level array");
-    assert_eq!(items.len(), events.len());
-    let mut prev_ts = f64::NEG_INFINITY;
-    for item in items {
-        let ph = item.field("ph").unwrap().string().unwrap();
-        assert!(ph == "B" || ph == "E");
-        assert!(!item.field("name").unwrap().string().unwrap().is_empty());
-        assert_eq!(item.field("pid").unwrap().number().unwrap(), 7.0);
-        let ts = item.field("ts").unwrap().number().unwrap();
-        assert!(ts >= prev_ts, "render must preserve chronological order");
-        prev_ts = ts;
-        item.field("tid").unwrap().number().unwrap();
-    }
+    // The JSON rendering carries every record plus the leading
+    // overwrite-count mark, with no synthetic ends for closed spans.
+    let json = flight::render_chrome(&records, overwritten, 7);
+    assert_eq!(check_rendered(&json, 7.0), records.len() + 1);
+    assert!(!json.contains("synthetic_end"), "{json}");
 }
 
 #[test]
-fn trace_buffer_saturation_drops_whole_spans() {
+fn trace_ring_saturation_keeps_the_newest_records_balanced() {
     let _l = guard();
     pathrep_obs::set_enabled(true);
+    flight::set_capacity(TRACE_CAPACITY);
     pathrep_obs::reset();
-    pathrep_obs::trace::set_collecting(true);
-    for _ in 0..pathrep_obs::trace::TRACE_CAPACITY {
-        let _s = pathrep_obs::span!("flood");
+    {
+        let _outer = pathrep_obs::span!("flood_outer");
+        for _ in 0..2 * TRACE_CAPACITY {
+            let _s = pathrep_obs::span!("flood");
+        }
     }
-    let events = pathrep_obs::trace::events();
-    assert!(events.len() <= pathrep_obs::trace::TRACE_CAPACITY);
-    assert!(pathrep_obs::trace::dropped_spans() > 0);
-    check_balanced(&events);
-    pathrep_obs::trace::set_collecting(false);
+    let (records, overwritten) = flight::snapshot();
+    assert_eq!(records.len(), TRACE_CAPACITY);
+    assert!(overwritten > 0, "a 2x flood must overwrite");
+    assert_eq!(records.last().map(|r| r.name), Some("flood_outer"), "newest kept");
+    // The outer begin was evicted: the render drops its orphaned end and
+    // the stream stays balanced.
+    let json = flight::render_chrome(&records, overwritten, 1);
+    check_rendered(&json, 1.0);
+    assert!(json.contains(&format!("\"overwritten\":{overwritten}")));
     pathrep_obs::reset();
-    assert_eq!(pathrep_obs::trace::dropped_spans(), 0, "reset clears drops");
+    let (records, overwritten) = flight::snapshot();
+    assert!(records.is_empty());
+    assert_eq!(overwritten, 0, "reset clears the overwrite count");
+    flight::set_capacity(pathrep_obs::config::DEFAULT_FLIGHT_CAPACITY);
 }

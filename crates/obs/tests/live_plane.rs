@@ -38,7 +38,7 @@ fn http_plane_serves_live_registry() {
     let server = pathrep_obs::http::start("127.0.0.1:0").expect("bind ephemeral");
 
     pathrep_obs::counter_add("live.scrape.hits", 3);
-    pathrep_obs::histogram_record_hdr("live.request_ns", 125_000.0);
+    pathrep_obs::histogram_record("live.request_ns", 125_000.0);
 
     let (status, body) = http_get(server.addr(), "/healthz");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
@@ -82,7 +82,7 @@ fn concurrent_scrapes_during_hdr_recording_are_never_torn() {
         std::thread::spawn(move || {
             let mut written = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                pathrep_obs::histogram_record_hdr(
+                pathrep_obs::histogram_record(
                     "scrape.race_ns",
                     ((written % 1000) * 1_000 + 500) as f64,
                 );
@@ -165,7 +165,7 @@ fn hdr_histograms_flow_through_registry_and_prom() {
     pathrep_obs::reset();
     pathrep_obs::set_enabled(true);
     for i in 1..=1000u64 {
-        pathrep_obs::histogram_record_hdr("serve.request_ns", (i * 1_000) as f64);
+        pathrep_obs::histogram_record("serve.request_ns", (i * 1_000) as f64);
     }
     let snap = pathrep_obs::registry().snapshot();
     let h = snap

@@ -72,7 +72,7 @@ fn dependencies_stay_within_the_vendored_set() {
 }
 
 /// Every source module — including the export backends added after the
-/// crate's founding (`trace.rs`, `prom.rs`) — must only `use` std and the
+/// crate's founding (`flight.rs`, `prom.rs`) — must only `use` std and the
 /// vendored shims, never a crates-io crate root. This catches drift that
 /// never reaches Cargo.toml, e.g. a `serde_json::` call that would only
 /// fail once someone adds the dependency.
@@ -110,8 +110,8 @@ fn source_modules_stay_on_the_vendored_set() {
             );
         }
     }
-    // The crate is lib.rs + config/json/ledger/prom/registry/snapshot/
-    // span/trace.
+    // The crate is lib.rs + config/flight/hdr/http/json/ledger/prom/
+    // registry/selftime/slo/snapshot/span/trace/window/work.
     assert!(
         checked >= 9,
         "expected at least 9 source modules, scanned {checked} — \

@@ -34,11 +34,12 @@
 //! ## Observability
 //!
 //! Spans opened inside worker closures must nest under the span that was
-//! open on the submitting thread, and Chrome-trace events from workers must
-//! land on a small stable set of tids. Every spawn therefore captures the
-//! parent span path ([`pathrep_obs::current_span_path`]) and adopts it on
-//! the worker ([`pathrep_obs::adopt_span_parent`]), and takes a pooled
-//! trace tid ([`pathrep_obs::trace::worker_tid`]) for the task's lifetime.
+//! open on the submitting thread, and flight-ring span records from
+//! workers must land on a small stable set of tids. Every spawn therefore
+//! captures the parent span path ([`pathrep_obs::current_span_path`]) and
+//! adopts it on the worker ([`pathrep_obs::adopt_span_parent`]), and takes
+//! a pooled trace tid ([`pathrep_obs::trace::worker_tid`]) for the task's
+//! lifetime.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -50,9 +50,6 @@ pub(crate) fn effective_trace(wire: Option<TraceContext>) -> TraceContext {
     })
 }
 
-/// Batch-size histogram bucket edges (rows per kernel invocation).
-pub(crate) const BATCH_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-
 /// Runtime knobs, resolved from `PATHREP_SERVE_*` (all registered in
 /// [`pathrep_obs::config::ALL_ENV_VARS`]).
 #[derive(Debug, Clone)]

@@ -48,9 +48,7 @@
 
 use crate::binproto::{self, BinRequest, BinResponse, WireFrame};
 use crate::protocol::{write_frame, Request, Response, ServerStats, TraceContext};
-use crate::server::{
-    effective_trace, resolve_model, respond_to, Shared, Stats, BATCH_EDGES,
-};
+use crate::server::{effective_trace, resolve_model, respond_to, Shared, Stats};
 use pathrep_core::predictor::MeasurementPredictor;
 use pathrep_linalg::Matrix;
 use pathrep_obs::{ledger, trace};
@@ -523,7 +521,7 @@ impl Reactor {
     /// Queue a request's reply and record its latency.
     fn reply(&mut self, token: Token, t0: Instant, bytes: &[u8]) {
         self.queue_reply(token, bytes);
-        pathrep_obs::histogram_record_hdr("serve.request_ns", t0.elapsed().as_nanos() as f64);
+        pathrep_obs::histogram_record("serve.request_ns", t0.elapsed().as_nanos() as f64);
     }
 
     /// Answer a control request in JSON.
@@ -785,7 +783,7 @@ fn shard_batcher(
         let rows = batch.len();
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
         Stats::bump_max(&shared.stats.max_batch, rows as u64);
-        pathrep_obs::histogram_record_with("serve.batch_rows", BATCH_EDGES, rows as f64);
+        pathrep_obs::histogram_record("serve.batch_rows", rows as f64);
         pathrep_obs::gauge_set(gauges[idx].queue_depth, queues[idx].depth() as f64);
         let _parent = pathrep_obs::adopt_span_parent(batch[0].parent_span.clone());
         let _ctx = batch[0].trace_ctx.map(trace::set_context);

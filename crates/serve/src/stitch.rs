@@ -1,9 +1,10 @@
 //! Stitching Chrome traces from several processes into one file.
 //!
 //! With `PATHREP_OBS_TRACE` set on both sides, the client and the daemon
-//! each export their own Chrome trace (`pathrep_obs::trace`). Because the
-//! wire protocol propagates [`crate::protocol::TraceContext`], the spans
-//! of one logical request carry the same `trace_id` in *both* files —
+//! each write their flight ring as a Chrome trace at report time
+//! (`pathrep_obs::flight`; span `B`/`E` plus instant `i` marks). Because
+//! the wire protocol propagates [`crate::protocol::TraceContext`], the
+//! spans of one logical request carry the same `trace_id` in *both* files —
 //! stitching them into a single array lets `chrome://tracing` /
 //! Perfetto show the client-side wait and the daemon-side handling
 //! together, correlated by the `args.trace_id` field.

@@ -174,8 +174,8 @@ fn unknown_model_and_bad_rows_are_typed_server_errors() {
 fn traced_requests_stitch_into_one_chrome_trace() {
     let _obs = obs_lock();
     pathrep_obs::set_enabled(true);
+    pathrep_obs::flight::set_capacity(pathrep_obs::config::TRACE_CAPACITY);
     pathrep_obs::reset();
-    pathrep_obs::trace::set_collecting(true);
 
     let demo = build_quickstart_model().expect("quickstart model builds");
     let path = temp_path("trace.artifact");
@@ -210,25 +210,18 @@ fn traced_requests_stitch_into_one_chrome_trace() {
 
     client.shutdown().expect("shutdown");
     handle.join();
-    pathrep_obs::trace::set_collecting(false);
 
     // Client and daemon ran in one process here, so split the shared
-    // buffer by span namespace to fabricate the two per-process trace
-    // files a real deployment exports.
-    let events = pathrep_obs::trace::events();
-    let client_evts: Vec<_> = events
-        .iter()
-        .filter(|e| e.name.starts_with("client."))
-        .cloned()
-        .collect();
-    let server_evts: Vec<_> = events
-        .iter()
-        .filter(|e| !e.name.starts_with("client."))
-        .cloned()
-        .collect();
-    assert!(!client_evts.is_empty() && !server_evts.is_empty());
-    let client_trace = pathrep_obs::trace::render_chrome_trace(&client_evts, 100);
-    let server_trace = pathrep_obs::trace::render_chrome_trace(&server_evts, 200);
+    // flight ring by span namespace to fabricate the two per-process
+    // trace files a real deployment exports.
+    let (records, overwritten) = pathrep_obs::flight::snapshot();
+    assert_eq!(overwritten, 0);
+    let (client_recs, server_recs): (Vec<_>, Vec<_>) = records
+        .into_iter()
+        .partition(|r| r.name.starts_with("client."));
+    assert!(!client_recs.is_empty() && !server_recs.is_empty());
+    let client_trace = pathrep_obs::flight::render_chrome(&client_recs, 0, 100);
+    let server_trace = pathrep_obs::flight::render_chrome(&server_recs, 0, 200);
 
     let merged = stitch_traces(&[
         ("client_trace.json".to_owned(), client_trace),
@@ -252,6 +245,7 @@ fn traced_requests_stitch_into_one_chrome_trace() {
                 *d -= 1;
                 assert!(*d >= 0, "end without begin on pid {pid} tid {tid}");
             }
+            "i" => {}
             other => panic!("unexpected phase {other}"),
         }
         if let Ok(args) = ev.field("args") {
@@ -270,6 +264,7 @@ fn traced_requests_stitch_into_one_chrome_trace() {
     );
 
     pathrep_obs::set_enabled(false);
+    pathrep_obs::flight::set_capacity(pathrep_obs::config::DEFAULT_FLIGHT_CAPACITY);
     pathrep_obs::reset();
     let _ = std::fs::remove_file(&path);
 }

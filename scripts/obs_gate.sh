@@ -23,6 +23,12 @@
 #   dump on its own, while the daemon keeps serving (requests still
 #   complete). An on-demand dump-flight request must also land.
 #
+# Phase D — end-of-run traces:
+#   run a daemon and a one-request loadgen client, both with
+#   PATHREP_OBS_TRACE set; each process must write its flight ring as a
+#   balanced Chrome trace at report time, and the stitched file must
+#   carry the traced request's trace_id under both processes.
+#
 # Usage: scripts/obs_gate.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -222,4 +228,44 @@ if ! wait "$serve_pid"; then
 fi
 serve_pid=""
 echo "obs_gate.sh: phase C OK — watchdog fired, dumps loadable, daemon survived"
-echo "obs_gate.sh: PASS — panic forensics, SLO breach/recovery, and watchdog all verified"
+
+# ---------------------------------------------------------------- Phase D
+echo "obs_gate.sh: phase D — PATHREP_OBS_TRACE files from both processes must stitch"
+TRACE_LOG="$WORK/trace_daemon.log"
+SERVER_TRACE="$WORK/server_trace.json"
+CLIENT_TRACE="$WORK/client_trace.json"
+STITCHED="$WORK/stitched_trace.json"
+PATHREP_OBS=1 PATHREP_OBS_TRACE="$SERVER_TRACE" \
+    PATHREP_SERVE_ADDR=127.0.0.1:0 \
+    "$SERVE" > "$TRACE_LOG" 2>&1 &
+serve_pid=$!
+addr="$(wait_for_addr "$TRACE_LOG" "$serve_pid")"
+
+# One client, one traced predict (loadgen adds one untraced batch).
+PATHREP_OBS=1 PATHREP_OBS_TRACE="$CLIENT_TRACE" \
+    "$CLIENT" loadgen "$addr" "$ARTIFACT" --clients 1 --requests 1 > "$WORK/trace_client.log"
+"$CLIENT" shutdown "$addr" > /dev/null
+if ! wait "$serve_pid"; then
+    echo "obs_gate.sh: FAIL — traced daemon exited non-zero:" >&2
+    cat "$TRACE_LOG" >&2
+    exit 1
+fi
+serve_pid=""
+for f in "$SERVER_TRACE" "$CLIENT_TRACE"; do
+    if [ ! -s "$f" ]; then
+        echo "obs_gate.sh: FAIL — PATHREP_OBS_TRACE left no trace at $f" >&2
+        exit 1
+    fi
+    "$CLIENT" check-flight "$f"
+done
+"$CLIENT" stitch-trace "$STITCHED" "$CLIENT_TRACE" "$SERVER_TRACE"
+
+# loadgen tags client c's request k with trace_id (c+1)<<20 | k.
+TRACE_ID=$(( 1 << 20 ))
+pids="$(grep "\"trace_id\":$TRACE_ID[,}]" "$STITCHED" | grep -o '"pid":[0-9]*' | sort -u | tr '\n' ' ')"
+if [ "$pids" != '"pid":0 "pid":1 ' ]; then
+    echo "obs_gate.sh: FAIL — trace_id $TRACE_ID must appear under both pids, got: $pids" >&2
+    exit 1
+fi
+echo "obs_gate.sh: phase D OK — both traces balanced, trace_id $TRACE_ID in client and daemon"
+echo "obs_gate.sh: PASS — panic forensics, SLO breach/recovery, watchdog and traces all verified"
