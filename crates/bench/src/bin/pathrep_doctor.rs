@@ -5,19 +5,12 @@
 //!                [--top K] [--max-eps-growth X] [--max-e1-growth X]
 //!                [--max-cond-growth X] [--min-rank-ratio X] [--inject-rank-drop]
 //! pathrep-doctor --perf-diff <base BENCH_a.json> <current BENCH_b.json> [--top K]
-//! pathrep-doctor --sketch-parity
 //! ```
 //!
 //! `--perf-diff` mode needs no ledger: it loads two `BENCH_*.json`
 //! reports and prints the differential performance attribution — per
 //! workload, the spans ranked by Δself-time with achieved-GFLOP/s
 //! annotations from the work counters (see `pathrep_bench::attribute`).
-//!
-//! `--sketch-parity` mode needs no ledger either: it runs the dense and
-//! the sparse/sketched selection pipelines on the same small instance and
-//! attributes any divergence layer by layer (CSR assembly, sketched
-//! subspace, selection agreement, `ε_r` / guard-band), exiting 1 when a
-//! parity bound is violated (see `pathrep_bench::doctor::sketch_parity_check`).
 //!
 //! Single-ledger mode prints the run diagnosis (error-budget attribution,
 //! top-k ill-conditioned stages, ADMM convergence quality) and exits 0.
@@ -29,8 +22,8 @@
 
 use pathrep_bench::attribute::{attribute_reports, render_attribution};
 use pathrep_bench::doctor::{
-    diff, has_breach, inject_rank_drop, missing_stages, render_diff, render_sketch_parity,
-    render_summary, sketch_parity_check, summarize, HealthThresholds, RunSummary,
+    diff, has_breach, inject_rank_drop, missing_stages, render_diff, render_summary, summarize,
+    HealthThresholds, RunSummary,
 };
 use pathrep_bench::gate::BenchReport;
 use std::process::ExitCode;
@@ -43,7 +36,6 @@ struct Args {
     thresholds: HealthThresholds,
     inject_rank_drop: bool,
     perf_diff: Option<(String, String)>,
-    sketch_parity: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -56,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         thresholds: HealthThresholds::default(),
         inject_rank_drop: false,
         perf_diff: None,
-        sketch_parity: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -88,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
                 args.thresholds.min_rank_ratio = parse_f64("--min-rank-ratio", value("--min-rank-ratio")?)?;
             }
             "--inject-rank-drop" => args.inject_rank_drop = true,
-            "--sketch-parity" => args.sketch_parity = true,
             "--perf-diff" => {
                 let base = value("--perf-diff")?;
                 let cur = it
@@ -101,8 +91,7 @@ fn parse_args() -> Result<Args, String> {
                     "pathrep-doctor <ledger.jsonl> [--diff other.jsonl] [--bench BENCH_k.json] \
                      [--top K] [--max-eps-growth X] [--max-e1-growth X] [--max-cond-growth X] \
                      [--min-rank-ratio X] [--inject-rank-drop]\n\
-                     pathrep-doctor --perf-diff BENCH_a.json BENCH_b.json [--top K]\n\
-                     pathrep-doctor --sketch-parity"
+                     pathrep-doctor --perf-diff BENCH_a.json BENCH_b.json [--top K]"
                 );
                 std::process::exit(0);
             }
@@ -112,7 +101,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.perf_diff.is_none() && !args.sketch_parity {
+    if args.perf_diff.is_none() {
         args.ledger = ledger.ok_or("a ledger path is required")?;
     }
     Ok(args)
@@ -175,17 +164,6 @@ fn main() -> ExitCode {
 
     if let Some((base_path, cur_path)) = &args.perf_diff {
         return perf_diff(base_path, cur_path, args.top);
-    }
-
-    if args.sketch_parity {
-        let report = sketch_parity_check();
-        print!("{}", render_sketch_parity(&report));
-        return if report.pass() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("pathrep-doctor: FAIL — sketch/dense parity bounds violated");
-            ExitCode::FAILURE
-        };
     }
 
     let baseline = match load_summary(&args.ledger) {

@@ -514,222 +514,6 @@ pub fn inject_rank_drop(s: &mut RunSummary) {
     s.e1 = s.e1.map(|e| e * 3.0);
 }
 
-/// Sketch-vs-dense parity attribution on a small instance
-/// (`pathrep-doctor --sketch-parity`).
-///
-/// Runs the full dense pipeline and the full sparse/sketched pipeline on
-/// the *same* circuit, paths and variation model, then attributes any
-/// divergence to its layer: CSR assembly (must be exact — the sparse
-/// builder is bit-compatible with the dense one), the sketched subspace
-/// (energy capture), Algorithm-2 selection (set agreement) and the
-/// Theorem-2 error `ε_r` / guard-band `φ = ε_r·T_cons` (within absolute
-/// tolerance). Any violated bound lands in `findings`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SketchParityReport {
-    /// `|P_tar|` of the shared instance.
-    pub paths: usize,
-    /// Variation-space dimension.
-    pub variables: usize,
-    /// Stored entries of the CSR `A`.
-    pub nnz: usize,
-    /// `max |A_dense − A_sparse|` over all entries (CSR assembly parity).
-    pub max_assembly_diff: f64,
-    /// Spectral-energy fraction captured by the sketch.
-    pub energy_capture: f64,
-    /// Numerical rank from the dense SVD.
-    pub rank_dense: usize,
-    /// Numerical rank from the sketched SVD.
-    pub rank_sketch: usize,
-    /// Exact-mode selection-set agreement (`|∩| / max(|·|,|·|)`),
-    /// measured over the effective-rank prefix of the pivot sequence —
-    /// full-rank tail pivots sit in near-degenerate noise directions
-    /// where pivot order is tie-sensitive between two orthogonally
-    /// equivalent bases.
-    pub exact_agreement: f64,
-    /// Approx-mode (Algorithm 1) selection-set agreement.
-    pub approx_agreement: f64,
-    /// Dense Algorithm-1 worst-case error.
-    pub dense_epsilon_r: f64,
-    /// Sketched Algorithm-1 worst-case error.
-    pub sketch_epsilon_r: f64,
-    /// Guard-band gap `|Δε_r|·T_cons` in ps.
-    pub phi_diff_ps: f64,
-    /// Violated parity bounds; empty means PASS.
-    pub findings: Vec<String>,
-}
-
-impl SketchParityReport {
-    /// `true` when every parity bound held.
-    pub fn pass(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-fn set_agreement(a: &[usize], b: &[usize]) -> f64 {
-    let sa: BTreeSet<usize> = a.iter().copied().collect();
-    let sb: BTreeSet<usize> = b.iter().copied().collect();
-    let denom = sa.len().max(sb.len());
-    if denom == 0 {
-        return 1.0;
-    }
-    sa.intersection(&sb).count() as f64 / denom as f64
-}
-
-/// Runs the parity experiment on the shared small gate instance. The
-/// sketch is given full width (`l = |P_tar|`), so the subspace is exact
-/// and every divergence is attributable to the pipeline mechanics —
-/// sparse assembly, range-finder, reduced pivoted QR, thin cross-Gram —
-/// rather than to low-rank truncation.
-///
-/// # Panics
-///
-/// Panics when a deterministic pipeline stage fails (cannot happen for
-/// the built-in instance).
-pub fn sketch_parity_check() -> SketchParityReport {
-    use pathrep_core::approx::{approx_select, ApproxConfig};
-    use pathrep_core::exact::exact_select;
-    use pathrep_core::predictor::DEFAULT_KAPPA;
-    use pathrep_core::sketch::{sketch_approx_select, sketch_exact_select, SketchApproxConfig};
-    use pathrep_linalg::sketch::SketchConfig;
-    use pathrep_ssta::SparseDelayModel;
-
-    const EPSILON: f64 = 0.05;
-    const MIN_AGREEMENT: f64 = 0.9;
-    const MAX_EPS_DIFF: f64 = 1e-6;
-
-    let pb = crate::prepared_small(crate::workloads::GATE_SEED);
-    let dense = &pb.delay_model;
-    let sparse = SparseDelayModel::build(&pb.circuit, &pb.paths, &pb.decomposition, &pb.model)
-        .expect("sparse assembly succeeds on the gate instance");
-
-    let mut findings = Vec::new();
-
-    // Layer 1: CSR assembly parity. The sparse builder shares the dense
-    // builder's accumulation order, so this must be exactly zero.
-    let da = dense.a();
-    let sa = sparse.a().to_dense();
-    let mut max_assembly_diff = 0.0f64;
-    for (x, y) in da.as_slice().iter().zip(sa.as_slice()) {
-        max_assembly_diff = max_assembly_diff.max((x - y).abs());
-    }
-    if max_assembly_diff != 0.0 {
-        findings.push(format!(
-            "CSR assembly diverges from the dense builder: max |ΔA| = {max_assembly_diff:.3e} \
-             (expected exactly 0)"
-        ));
-    }
-
-    // Layer 2 + 3: full-width sketch, then selection agreement.
-    let sketch = SketchConfig {
-        sketch_cols: sparse.a().nrows(),
-        ..SketchConfig::default()
-    };
-    let d_exact = exact_select(da, dense.mu_paths(), DEFAULT_KAPPA).expect("dense exact");
-    let s_exact = sketch_exact_select(sparse.a(), sparse.mu_paths(), DEFAULT_KAPPA, &sketch)
-        .expect("sketched exact");
-    if s_exact.energy_capture < 0.999 {
-        findings.push(format!(
-            "full-width sketch lost spectral energy: capture {:.6} < 0.999",
-            s_exact.energy_capture
-        ));
-    }
-    if s_exact.rank != d_exact.rank {
-        findings.push(format!(
-            "sketched rank {} != dense rank {}",
-            s_exact.rank, d_exact.rank
-        ));
-    }
-    let d_approx = approx_select(da, dense.mu_paths(), &ApproxConfig::new(EPSILON, pb.t_cons))
-        .expect("dense approx");
-    let mut s_cfg = SketchApproxConfig::new(EPSILON, pb.t_cons);
-    s_cfg.sketch = sketch;
-    let s_approx =
-        sketch_approx_select(sparse.a(), sparse.mu_paths(), &s_cfg).expect("sketched approx");
-    let approx_agreement = set_agreement(&d_approx.selected, &s_approx.selected);
-    if approx_agreement < MIN_AGREEMENT {
-        findings.push(format!(
-            "approx-mode selection agreement {approx_agreement:.3} < {MIN_AGREEMENT}"
-        ));
-    }
-
-    // Exact-mode parity is judged over the effective-rank head of the
-    // pivot sequence. Beyond the effective rank the singular directions
-    // are near-degenerate, so the pivoted QR may order tied columns
-    // differently for the dense U and the (orthogonally equivalent)
-    // sketched U — that tail disagreement carries no predictive weight,
-    // as the bitwise `ε_r` parity in layer 4 confirms.
-    let head = d_approx
-        .effective_rank
-        .min(d_exact.selected.len())
-        .min(s_exact.selected.len());
-    let exact_agreement = set_agreement(&d_exact.selected[..head], &s_exact.selected[..head]);
-    if exact_agreement < MIN_AGREEMENT {
-        findings.push(format!(
-            "exact-mode selection agreement {exact_agreement:.3} < {MIN_AGREEMENT} \
-             over the first {head} pivots"
-        ));
-    }
-
-    // Layer 4: Theorem-2 error and guard-band parity.
-    let eps_diff = (d_approx.epsilon_r - s_approx.epsilon_r).abs();
-    let phi_diff_ps = eps_diff * pb.t_cons;
-    if eps_diff > MAX_EPS_DIFF {
-        findings.push(format!(
-            "epsilon_r diverged: dense {:.6e} vs sketch {:.6e} (|Δ| {eps_diff:.3e} > {MAX_EPS_DIFF:.0e})",
-            d_approx.epsilon_r, s_approx.epsilon_r
-        ));
-    }
-
-    SketchParityReport {
-        paths: pb.path_count(),
-        variables: sparse.variable_count(),
-        nnz: sparse.a().nnz(),
-        max_assembly_diff,
-        energy_capture: s_exact.energy_capture,
-        rank_dense: d_exact.rank,
-        rank_sketch: s_exact.rank,
-        exact_agreement,
-        approx_agreement,
-        dense_epsilon_r: d_approx.epsilon_r,
-        sketch_epsilon_r: s_approx.epsilon_r,
-        phi_diff_ps,
-        findings,
-    }
-}
-
-/// Renders the parity report, findings last.
-pub fn render_sketch_parity(r: &SketchParityReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "sketch-vs-dense parity ({} paths × {} vars, nnz {}):\n",
-        r.paths, r.variables, r.nnz
-    ));
-    out.push_str(&format!(
-        "  assembly   max |ΔA| {:.3e} (CSR vs dense builder)\n",
-        r.max_assembly_diff
-    ));
-    out.push_str(&format!(
-        "  sketch     energy capture {:.6}, rank {} vs dense {}\n",
-        r.energy_capture, r.rank_sketch, r.rank_dense
-    ));
-    out.push_str(&format!(
-        "  selection  agreement exact(head) {:.3}, approx {:.3}\n",
-        r.exact_agreement, r.approx_agreement
-    ));
-    out.push_str(&format!(
-        "  error      epsilon_r dense {:.6e} vs sketch {:.6e} (phi gap {:.3e} ps)\n",
-        r.dense_epsilon_r, r.sketch_epsilon_r, r.phi_diff_ps
-    ));
-    if r.pass() {
-        out.push_str("sketch parity: PASS\n");
-    } else {
-        for f in &r.findings {
-            out.push_str(&format!("sketch parity: FAIL — {f}\n"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -865,26 +649,5 @@ mod tests {
         assert!(mk(&flat, false).stalled);
         assert!(!mk(&falling, false).stalled, "steadily-falling curve is not a stall");
         assert!(!mk(&flat, true).stalled, "converged solves never stall");
-    }
-
-    #[test]
-    fn sketch_parity_holds_on_gate_instance() {
-        let report = sketch_parity_check();
-        assert!(
-            report.pass(),
-            "sketch parity violated:\n{}",
-            render_sketch_parity(&report)
-        );
-        assert_eq!(report.max_assembly_diff, 0.0);
-        assert_eq!(report.rank_dense, report.rank_sketch);
-        assert_eq!(report.dense_epsilon_r, report.sketch_epsilon_r);
-        assert!(render_sketch_parity(&report).ends_with("sketch parity: PASS\n"));
-    }
-
-    #[test]
-    fn set_agreement_handles_empty_and_disjoint_sets() {
-        assert_eq!(set_agreement(&[], &[]), 1.0);
-        assert_eq!(set_agreement(&[1, 2], &[3, 4]), 0.0);
-        assert_eq!(set_agreement(&[1, 2, 3], &[2, 3]), 2.0 / 3.0);
     }
 }

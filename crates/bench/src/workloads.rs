@@ -15,15 +15,14 @@ use pathrep_core::approx::{approx_select, ApproxConfig};
 use pathrep_core::exact::exact_select;
 use pathrep_core::hybrid::{hybrid_select, HybridConfig, HybridInputs};
 use pathrep_core::predictor::DEFAULT_KAPPA;
-use pathrep_core::sketch::{
-    sketch_approx_select, sketch_config_from_env, sketch_exact_select, SketchApproxConfig,
-};
+use pathrep_core::sketch::{sketch_approx_select, sketch_exact_select, SketchApproxConfig};
 use pathrep_eval::metrics::{evaluate, McConfig, MeasurementPlan};
 use pathrep_eval::pipeline::{
     prepare, prepare_sparse, PipelineConfig, PreparedBenchmark, PreparedSparseBenchmark,
     SparsePipelineConfig,
 };
 use pathrep_eval::suite::{BenchmarkSpec, Suite};
+use pathrep_linalg::sketch::SketchConfig;
 use pathrep_serve::{Client, ModelArtifact, SelectionMeta, Server, ServerConfig, WireProtocol};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -439,8 +438,7 @@ fn sketch_exact_workload(name: &'static str, pb: Arc<PreparedSparseBenchmark>) -
         name,
         run: Box::new(move || {
             let dm = &pb.delay_model;
-            let sketch = sketch_config_from_env();
-            sketch_exact_select(dm.a(), dm.mu_paths(), DEFAULT_KAPPA, &sketch)
+            sketch_exact_select(dm.a(), dm.mu_paths(), DEFAULT_KAPPA, &SketchConfig::default())
                 .expect("sketched exact selection succeeds");
         }),
     }
@@ -586,7 +584,7 @@ mod tests {
         let pb = prepare_sparse(&large_spec(), &large_config()).unwrap();
         let dm = &pb.delay_model;
         let t0 = Instant::now();
-        let sk = sketch_exact_select(dm.a(), dm.mu_paths(), DEFAULT_KAPPA, &sketch_config_from_env())
+        let sk = sketch_exact_select(dm.a(), dm.mu_paths(), DEFAULT_KAPPA, &SketchConfig::default())
             .unwrap();
         let sketch_s = t0.elapsed().as_secs_f64();
         let dense_a = dm.a().to_dense();

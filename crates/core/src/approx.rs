@@ -10,10 +10,8 @@
 //! a bisection that exploits the (empirically monotone) error-vs-`r` curve,
 //! reducing the number of error evaluations from `O(rank)` to `O(log rank)`.
 
-use crate::exact::RANK_TOL;
 use crate::factors::ModelFactors;
-use crate::predictor::MeasurementPredictor;
-use crate::subset::select_rows_with_svd;
+use crate::select::{search, Goal, Selection, Source, DEFAULT_ETA};
 use crate::CoreError;
 use pathrep_linalg::Matrix;
 
@@ -22,28 +20,9 @@ use pathrep_linalg::Matrix;
 pub enum Schedule {
     /// The paper's loop: decrement `r` by one until the tolerance breaks.
     DecrementByOne,
-    /// Bisection on `r` (assumes the error is monotone in `r`; verified
-    /// and repaired if the assumption fails at the answer).
+    /// Bisection on `r`. Every `r` it returns meets the tolerance; if the
+    /// error is not monotone in `r`, a smaller passing `r` may be missed.
     Bisection,
-}
-
-/// Result of approximate selection.
-#[derive(Debug, Clone)]
-pub struct ApproxSelection {
-    /// Indices of the representative paths.
-    pub selected: Vec<usize>,
-    /// Indices of the remaining (predicted) paths.
-    pub remaining: Vec<usize>,
-    /// Theorem-2 predictor from representative to remaining paths.
-    pub predictor: MeasurementPredictor,
-    /// Achieved worst-case error `ε_r` (≤ the requested tolerance).
-    pub epsilon_r: f64,
-    /// `rank(A)` (the exact-selection size).
-    pub rank: usize,
-    /// Effective rank of `A` at the configured η.
-    pub effective_rank: usize,
-    /// `(r, ε_r)` pairs evaluated during the search, in evaluation order.
-    pub trace: Vec<(usize, f64)>,
 }
 
 /// Configuration for [`approx_select`].
@@ -69,7 +48,7 @@ impl ApproxConfig {
             t_cons,
             kappa: crate::predictor::DEFAULT_KAPPA,
             schedule: Schedule::Bisection,
-            eta: 0.05,
+            eta: DEFAULT_ETA,
         }
     }
 
@@ -77,25 +56,6 @@ impl ApproxConfig {
     pub fn with_schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
         self
-    }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        if self.epsilon <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "epsilon must be positive".into(),
-            });
-        }
-        if self.t_cons <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "t_cons must be positive".into(),
-            });
-        }
-        if self.kappa <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "kappa must be positive".into(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -106,7 +66,7 @@ impl ApproxConfig {
 /// * [`CoreError::InvalidArgument`] for bad configuration or mismatched
 ///   inputs.
 /// * [`CoreError::Linalg`] on factorization failure.
-pub fn approx_select(a: &Matrix, mu: &[f64], config: &ApproxConfig) -> Result<ApproxSelection, CoreError> {
+pub fn approx_select(a: &Matrix, mu: &[f64], config: &ApproxConfig) -> Result<Selection, CoreError> {
     let factors = ModelFactors::compute(a)?;
     approx_select_with(a, mu, config, &factors)
 }
@@ -121,141 +81,15 @@ pub fn approx_select_with(
     mu: &[f64],
     config: &ApproxConfig,
     factors: &ModelFactors,
-) -> Result<ApproxSelection, CoreError> {
+) -> Result<Selection, CoreError> {
     let _span = pathrep_obs::span!("approx_select");
-    config.validate()?;
-    if mu.len() != a.nrows() {
-        return Err(CoreError::InvalidArgument {
-            what: "mean vector must match the row count of A".into(),
-        });
-    }
-    let svd = factors.svd();
-    let gram = factors.gram();
-    let rank = svd.rank(RANK_TOL).max(1);
-    let effective_rank = svd.effective_rank(config.eta)?;
-    let mut trace: Vec<(usize, f64)> = Vec::new();
-
-    // Evaluate one candidate r: Algorithm 2 selection + Theorem 2 error.
-    let mut evaluate = |r: usize| -> Result<(Vec<usize>, MeasurementPredictor, Vec<usize>, f64), CoreError> {
-        let _span = pathrep_obs::span!("evaluate_candidate");
-        let selected = select_rows_with_svd(a, svd, r)?;
-        let (predictor, remaining) =
-            MeasurementPredictor::from_gram(gram, mu, &selected, config.kappa)?;
-        let eps = if remaining.is_empty() {
-            0.0
-        } else {
-            predictor.epsilon(config.t_cons)
-        };
-        trace.push((r, eps));
-        pathrep_obs::counter_add("core.approx.evaluations", 1);
-        pathrep_obs::histogram_record("core.approx.epsilon_r", eps);
-        pathrep_obs::info("core.approx.trace", || format!("r={r} epsilon_r={eps:.6e}"));
-        Ok((selected, predictor, remaining, eps))
+    let goal = Goal::Tolerance {
+        epsilon: config.epsilon,
+        t_cons: config.t_cons,
+        schedule: config.schedule,
+        eta: config.eta,
     };
-
-    let mut best = evaluate(rank)?;
-    if best.3 > config.epsilon {
-        // Even the exact-size selection misses the tolerance (possible only
-        // through rank rounding); accept it as the most conservative answer.
-        let (selected, predictor, remaining, epsilon_r) = best;
-        pathrep_obs::warn("core.approx.tolerance_unmet", || {
-            format!(
-                "exact-size selection (r={rank}) already exceeds tolerance: \
-                 epsilon_r={epsilon_r:.6e} > epsilon={:.6e}",
-                config.epsilon
-            )
-        });
-        record_outcome(rank, effective_rank, selected.len(), epsilon_r, config.epsilon, &trace, false);
-        return Ok(ApproxSelection {
-            selected,
-            remaining,
-            predictor,
-            epsilon_r,
-            rank,
-            effective_rank,
-            trace,
-        });
-    }
-
-    match config.schedule {
-        Schedule::DecrementByOne => {
-            let mut r = rank;
-            while r > 1 {
-                let cand = evaluate(r - 1)?;
-                if cand.3 <= config.epsilon {
-                    best = cand;
-                    r -= 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        Schedule::Bisection => {
-            let mut lo = 1usize;
-            let mut hi = rank;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let cand = evaluate(mid)?;
-                if cand.3 <= config.epsilon {
-                    best = cand;
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            // Monotonicity repair: if the found r somehow violates the
-            // tolerance (never observed), walk upward until it holds.
-            while best.3 > config.epsilon && best.0.len() < rank {
-                best = evaluate(best.0.len() + 1)?;
-            }
-        }
-    }
-
-    let (selected, predictor, remaining, epsilon_r) = best;
-    record_outcome(rank, effective_rank, selected.len(), epsilon_r, config.epsilon, &trace, true);
-    Ok(ApproxSelection {
-        selected,
-        remaining,
-        predictor,
-        epsilon_r,
-        rank,
-        effective_rank,
-        trace,
-    })
-}
-
-/// Final Algorithm-1 telemetry, shared by both exits. `accepted` says
-/// whether the returned selection meets the pre-specified tolerance ε;
-/// `trace` is the full `r`-decrement evaluation history `(r, ε_r)`.
-fn record_outcome(
-    rank: usize,
-    effective_rank: usize,
-    selected: usize,
-    epsilon_r: f64,
-    epsilon: f64,
-    trace: &[(usize, f64)],
-    accepted: bool,
-) {
-    pathrep_obs::counter_add("core.approx.selections", 1);
-    pathrep_obs::gauge_set("core.approx.rank", rank as f64);
-    pathrep_obs::gauge_set("core.approx.effective_rank", effective_rank as f64);
-    pathrep_obs::gauge_set("core.approx.selected", selected as f64);
-    pathrep_obs::gauge_set("core.approx.epsilon_r", epsilon_r);
-    if !pathrep_obs::ledger::collecting() {
-        return;
-    }
-    let r_trace: Vec<f64> = trace.iter().map(|&(r, _)| r as f64).collect();
-    let eps_trace: Vec<f64> = trace.iter().map(|&(_, e)| e).collect();
-    pathrep_obs::ledger::record("core", "approx_select", |f| {
-        f.int("rank", rank as u64)
-            .int("effective_rank", effective_rank as u64)
-            .int("selected", selected as u64)
-            .num("epsilon_r", epsilon_r)
-            .num("epsilon", epsilon)
-            .flag("accepted", accepted)
-            .nums("r_trace", &r_trace)
-            .nums("epsilon_r_trace", &eps_trace);
-    });
+    search(&Source::Dense { a, factors }, mu, config.kappa, goal)
 }
 
 #[cfg(test)]

@@ -1,36 +1,22 @@
 //! Theorem 1: exact representative-path selection with `r = rank(A)`.
 
 use crate::factors::ModelFactors;
-use crate::predictor::MeasurementPredictor;
-use crate::subset::select_rows_with_svd;
+use crate::select::{search, Goal, Selection, Source};
 use crate::CoreError;
 use pathrep_linalg::Matrix;
 
 /// Relative singular-value cutoff used for the numerical rank of `A`.
 pub const RANK_TOL: f64 = 1e-9;
 
-/// Result of exact selection.
-#[derive(Debug, Clone)]
-pub struct ExactSelection {
-    /// Indices of the representative paths (into the target set).
-    pub selected: Vec<usize>,
-    /// Indices of the remaining (predicted) paths.
-    pub remaining: Vec<usize>,
-    /// The Theorem-2 predictor from the representative to the remaining
-    /// paths (error is zero up to rounding).
-    pub predictor: MeasurementPredictor,
-    /// `rank(A)` used for the selection.
-    pub rank: usize,
-}
-
 /// Exact selection: pick `rank(A)` rows of `A` (Algorithm 2) so that every
-/// remaining target path is an exact linear combination of them.
+/// remaining target path is an exact linear combination of them (the
+/// predictor's error is zero up to rounding).
 ///
 /// # Errors
 ///
 /// * [`CoreError::Linalg`] on factorization failure.
-/// * [`CoreError::InvalidArgument`] if `mu` does not match `a`.
-pub fn exact_select(a: &Matrix, mu: &[f64], kappa: f64) -> Result<ExactSelection, CoreError> {
+/// * [`CoreError::InvalidArgument`] if `mu` does not match `a` or κ ≤ 0.
+pub fn exact_select(a: &Matrix, mu: &[f64], kappa: f64) -> Result<Selection, CoreError> {
     let factors = ModelFactors::compute(a)?;
     exact_select_with(a, mu, kappa, &factors)
 }
@@ -46,31 +32,9 @@ pub fn exact_select_with(
     mu: &[f64],
     kappa: f64,
     factors: &ModelFactors,
-) -> Result<ExactSelection, CoreError> {
+) -> Result<Selection, CoreError> {
     let _span = pathrep_obs::span!("exact_select");
-    if mu.len() != a.nrows() {
-        return Err(CoreError::InvalidArgument {
-            what: "mean vector must match the row count of A".into(),
-        });
-    }
-    let rank = factors.svd().rank(RANK_TOL).max(1);
-    pathrep_obs::counter_add("core.exact.selections", 1);
-    pathrep_obs::gauge_set("core.exact.rank", rank as f64);
-    let selected = select_rows_with_svd(a, factors.svd(), rank)?;
-    let (predictor, remaining) =
-        MeasurementPredictor::from_gram(factors.gram(), mu, &selected, kappa)?;
-    pathrep_obs::ledger::record("core", "exact_select", |f| {
-        f.int("paths", a.nrows() as u64)
-            .int("rank", rank as u64)
-            .int("selected", selected.len() as u64)
-            .int("remaining", remaining.len() as u64);
-    });
-    Ok(ExactSelection {
-        selected,
-        remaining,
-        predictor,
-        rank,
-    })
+    search(&Source::Dense { a, factors }, mu, kappa, Goal::Exact)
 }
 
 #[cfg(test)]

@@ -102,7 +102,14 @@ pub fn greedy_select(
     }
 
     let gram = a.matmul(&a.transpose())?;
-    let (predictor, remaining) = MeasurementPredictor::from_gram(&gram, mu, &selected, kappa)?;
+    let diag: Vec<f64> = (0..n).map(|i| gram[(i, i)]).collect();
+    let (predictor, remaining) = MeasurementPredictor::from_cross_gram(
+        &gram.select_cols(&selected),
+        &diag,
+        mu,
+        &selected,
+        kappa,
+    )?;
     let epsilon_r = if remaining.is_empty() {
         0.0
     } else {
@@ -154,7 +161,7 @@ mod tests {
         // predictor built from scratch on the same selection.
         let (a, mu) = random_model(12, 15, 2);
         let sel = greedy_select(&a, &mu, 0.02, 600.0, 3.0).unwrap();
-        // The reported epsilon comes from a fresh from_gram predictor; the
+        // The reported epsilon comes from a fresh Theorem-2 predictor; the
         // greedy loop stopped because all conditional stds were in budget.
         // Those two accountings must agree:
         assert!(sel.epsilon_r <= 0.02 + 1e-9);

@@ -14,7 +14,7 @@
 //! `ε′` and keeps the candidate minimizing `|P_r| + |S_r|`;
 //! [`hybrid_select_sweep`] does the same.
 
-use crate::exact::{exact_select_with, ExactSelection};
+use crate::exact::exact_select_with;
 use crate::factors::ModelFactors;
 use crate::predictor::MeasurementPredictor;
 use crate::CoreError;
@@ -191,8 +191,7 @@ pub fn hybrid_select_with(
     }
 
     // --- Step 1: exact path selection (zero error) ---
-    let exact: ExactSelection =
-        exact_select_with(inputs.a, inputs.mu_paths, config.kappa, factors)?;
+    let exact = exact_select_with(inputs.a, inputs.mu_paths, config.kappa, factors)?;
     let p_r1 = &exact.selected;
 
     // --- Step 2: segment selection for the representative paths ---

@@ -174,83 +174,16 @@ impl MeasurementPredictor {
     }
 
     /// Builds the path-subset predictor (Theorem 2 exactly) from the
-    /// precomputed Gram matrix `G = A·Aᵀ` of the *full* target set, the
-    /// full mean vector, and the selected row indices.
+    /// *thin* cross-Gram block `C = G[·, selected] = A·A_selᵀ` (`n × r`,
+    /// columns in `selected` order) plus the diagonal of the full Gram
+    /// `G = A·Aᵀ` (`diag[i] = ‖row i of A‖²`), and the full mean vector.
     ///
     /// This avoids touching `A` itself: everything Algorithm 1 needs per
-    /// candidate `r` comes from sub-blocks of `G`, which is computed once.
-    /// The resulting predictor maps measured delays (in `selected` order)
-    /// to the *remaining* paths, whose indices are returned alongside.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidArgument`] on bad indices / κ.
-    /// * [`CoreError::Linalg`] if the pseudo-inverse fails.
-    pub fn from_gram(
-        gram: &Matrix,
-        mu: &[f64],
-        selected: &[usize],
-        kappa: f64,
-    ) -> Result<(Self, Vec<usize>), CoreError> {
-        if kappa <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "kappa must be positive".into(),
-            });
-        }
-        let n = gram.nrows();
-        if !gram.is_square() || mu.len() != n {
-            return Err(CoreError::InvalidArgument {
-                what: "gram must be square and match the mean vector".into(),
-            });
-        }
-        let mut is_sel = vec![false; n];
-        for &s in selected {
-            if s >= n {
-                return Err(CoreError::InvalidArgument {
-                    what: format!("selected index {s} out of range"),
-                });
-            }
-            if std::mem::replace(&mut is_sel[s], true) {
-                return Err(CoreError::InvalidArgument {
-                    what: format!("selected index {s} repeated"),
-                });
-            }
-        }
-        let remaining: Vec<usize> = (0..n).filter(|&i| !is_sel[i]).collect();
-        // Sub-blocks of the Gram matrix.
-        let g_rr = gram.select_rows(selected).select_cols(selected);
-        let g_mr = gram.select_rows(&remaining).select_cols(selected);
-        let coef = solve_right_psd(&g_rr, &g_mr)?;
-        // std_i² = G_mm[i,i] − coef_i · G_mr_i (see module docs: the cross
-        // and quadratic terms coincide through the pseudo-inverse).
-        let stds: Vec<f64> = remaining
-            .iter()
-            .enumerate()
-            .map(|(k, &mi)| {
-                let quad = vecops::dot(coef.row(k), g_mr.row(k));
-                (gram[(mi, mi)] - quad).max(0.0).sqrt()
-            })
-            .collect();
-        let meas_mu: Vec<f64> = selected.iter().map(|&i| mu[i]).collect();
-        let target_mu: Vec<f64> = remaining.iter().map(|&i| mu[i]).collect();
-        Ok((
-            MeasurementPredictor {
-                coef,
-                meas_mu,
-                target_mu,
-                stds,
-                kappa,
-            },
-            remaining,
-        ))
-    }
-
-    /// Builds the path-subset predictor from the *thin* cross-Gram block
-    /// `C = A·A_selᵀ` (`n × r`, columns in `selected` order) plus the
-    /// diagonal of the full Gram (`diag[i] = ‖row i of A‖²`). This is the
-    /// sketched-pipeline analogue of [`MeasurementPredictor::from_gram`]:
-    /// the full `n × n` Gram is never materialized, only the `n × r`
-    /// slab against the selected rows.
+    /// candidate `r` comes from `C` — a column slice of a precomputed `G`
+    /// in the dense pipeline, a sparse product in the sketched one, so the
+    /// full `n × n` Gram need never exist. The resulting predictor maps
+    /// measured delays (in `selected` order) to the *remaining* paths,
+    /// whose indices are returned alongside.
     ///
     /// # Errors
     ///
@@ -541,35 +474,17 @@ mod tests {
         (a, mu)
     }
 
-    #[test]
-    fn from_cross_gram_matches_from_gram_bitwise() {
-        // The thin cross-Gram path must reproduce the full-Gram path
-        // exactly: same sub-blocks reach the same solver in the same
-        // order, so every output is bit-identical.
-        let (a, mu) = figure1_a();
+    /// `G[·, selected]` and the Gram diagonal of the Figure-1 model.
+    fn cross_gram(a: &Matrix, selected: &[usize]) -> (Matrix, Vec<f64>) {
         let gram = a.matmul(&a.transpose()).unwrap();
-        let selected = [1usize, 3];
-        let (pg, rem_g) =
-            MeasurementPredictor::from_gram(&gram, &mu, &selected, DEFAULT_KAPPA).unwrap();
-        let cross = gram.select_cols(&selected);
-        let diag: Vec<f64> = (0..gram.nrows()).map(|i| gram[(i, i)]).collect();
-        let (pc, rem_c) =
-            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &selected, DEFAULT_KAPPA)
-                .unwrap();
-        assert_eq!(rem_g, rem_c);
-        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(pg.coef().as_slice()), bits(pc.coef().as_slice()));
-        assert_eq!(bits(pg.stds()), bits(pc.stds()));
-        assert_eq!(pg.meas_mu(), pc.meas_mu());
-        assert_eq!(pg.target_mu(), pc.target_mu());
+        let diag = (0..gram.nrows()).map(|i| gram[(i, i)]).collect();
+        (gram.select_cols(selected), diag)
     }
 
     #[test]
     fn from_cross_gram_rejects_inconsistent_shapes() {
         let (a, mu) = figure1_a();
-        let gram = a.matmul(&a.transpose()).unwrap();
-        let cross = gram.select_cols(&[1, 3]);
-        let diag: Vec<f64> = (0..gram.nrows()).map(|i| gram[(i, i)]).collect();
+        let (cross, diag) = cross_gram(&a, &[1, 3]);
         // Column count must match the selected count.
         assert!(
             MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1], DEFAULT_KAPPA).is_err()
@@ -613,9 +528,10 @@ mod tests {
     #[test]
     fn gram_constructor_matches_direct() {
         let (a, mu) = figure1_a();
-        let gram = a.matmul(&a.transpose()).unwrap();
+        let (cross, diag) = cross_gram(&a, &[1, 3]);
         let (pg, remaining) =
-            MeasurementPredictor::from_gram(&gram, &mu, &[1, 3], DEFAULT_KAPPA).unwrap();
+            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1, 3], DEFAULT_KAPPA)
+                .unwrap();
         assert_eq!(remaining, vec![0, 2]);
         let meas = a.select_rows(&[1, 3]);
         let target = a.select_rows(&[0, 2]);
@@ -693,9 +609,8 @@ mod tests {
         let meas = a.select_rows(&[1]);
         assert!(MeasurementPredictor::new(&a, &mu, &meas, &mu[1..2], 0.0).is_err());
         assert!(MeasurementPredictor::new(&a, &mu[..2], &meas, &mu[1..2], 3.0).is_err());
-        let gram = a.matmul(&a.transpose()).unwrap();
-        assert!(MeasurementPredictor::from_gram(&gram, &mu, &[9], 3.0).is_err());
-        assert!(MeasurementPredictor::from_gram(&gram, &mu, &[1, 1], 3.0).is_err());
+        let (cross, diag) = cross_gram(&a, &[1]);
+        assert!(MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1], 0.0).is_err());
         let p = MeasurementPredictor::new(
             &a.select_rows(&[0]),
             &mu[..1],
@@ -876,9 +791,10 @@ mod tests {
     #[test]
     fn measuring_everything_gives_zero_error() {
         let (a, mu) = figure1_a();
-        let gram = a.matmul(&a.transpose()).unwrap();
+        let (cross, diag) = cross_gram(&a, &[0, 1, 2]);
         let (p, remaining) =
-            MeasurementPredictor::from_gram(&gram, &mu, &[0, 1, 2], DEFAULT_KAPPA).unwrap();
+            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[0, 1, 2], DEFAULT_KAPPA)
+                .unwrap();
         // Path 3 = p1 − p2 + p3 wait: d_p4 = d_p1 − d_p2 + d_p3.
         assert_eq!(remaining, vec![3]);
         assert!(p.stds()[0] < 1e-6);

@@ -1,53 +1,26 @@
-//! Sketched Algorithm 1: representative-path selection on sparse models.
+//! Sketched selection: Algorithms 1 and 2 on sparse models.
 //!
-//! The dense pipeline ([`crate::exact`] / [`crate::approx`]) computes a
+//! The dense front ends ([`crate::exact`] / [`crate::approx`]) compute a
 //! full SVD of `A` and the full Gram `G = A·Aᵀ` — both infeasible once
-//! `A` has 100k+ rows. This module replaces them with:
+//! `A` has 100k+ rows. These front ends run the same search over
 //!
 //! * a seeded randomized range-finder + sketched SVD
 //!   ([`pathrep_linalg::sketch::sketched_svd`]) whose left factor stands
-//!   in for `U` in Algorithm 2's pivoted QR (the QR runs only on the
-//!   reduced `r × n` sketch, exactly as in the dense path);
+//!   in for `U` in Algorithm 2's pivoted QR;
 //! * the thin cross-Gram `C = A·A_selᵀ` (`n × r`) plus the Gram diagonal
 //!   instead of the full `n × n` Gram — the Theorem-2 predictor needs
-//!   nothing else ([`MeasurementPredictor::from_cross_gram`]).
+//!   nothing else ([`crate::MeasurementPredictor::from_cross_gram`]).
 //!
 //! The sketch is deterministic (fixed seed, sequential Gaussian fill), so
 //! results are bit-identical at any `PATHREP_THREADS`, same as the dense
-//! kernels. The sketch dimension and power-iteration count come from
-//! [`SketchConfig`]; [`sketch_config_from_env`] wires in the
-//! `PATHREP_SKETCH_COLS` / `PATHREP_SKETCH_ITERS` environment knobs.
+//! kernels. The sketch dimension, power-iteration count and seed come
+//! from [`SketchConfig`].
 
-use crate::exact::RANK_TOL;
-use crate::predictor::MeasurementPredictor;
-use crate::subset::select_rows_from_left;
+use crate::approx::Schedule;
+use crate::select::{search, Goal, Selection, Source, DEFAULT_ETA};
 use crate::CoreError;
-use pathrep_linalg::sketch::{sketched_svd, SketchConfig, SketchedSvd};
+use pathrep_linalg::sketch::{sketched_svd, SketchConfig};
 use pathrep_linalg::sparse::SparseMatrix;
-
-/// Result of sketched selection (both exact-size and tolerance modes).
-#[derive(Debug, Clone)]
-pub struct SketchSelection {
-    /// Indices of the representative paths, in pivot order.
-    pub selected: Vec<usize>,
-    /// Indices of the remaining (predicted) paths.
-    pub remaining: Vec<usize>,
-    /// Theorem-2 predictor from representative to remaining paths.
-    pub predictor: MeasurementPredictor,
-    /// Achieved worst-case error `ε_r` at the configured `t_cons`
-    /// (zero in exact mode, where no tolerance is in play).
-    pub epsilon_r: f64,
-    /// Numerical rank of the sketch (the exact-mode selection size).
-    pub rank: usize,
-    /// Sketch dimension actually used (`min(l, m, n)`).
-    pub sketch_cols: usize,
-    /// Power (subspace) iterations performed by the range-finder.
-    pub power_iters: usize,
-    /// Fraction of `‖A‖_F²` captured by the sketched spectrum.
-    pub energy_capture: f64,
-    /// `(r, ε_r)` pairs evaluated during the search, in evaluation order.
-    pub trace: Vec<(usize, f64)>,
-}
 
 /// Configuration for [`sketch_approx_select`].
 #[derive(Debug, Clone, PartialEq)]
@@ -63,56 +36,15 @@ pub struct SketchApproxConfig {
 }
 
 impl SketchApproxConfig {
-    /// Paper-style defaults (κ = 3) with the environment-driven sketch.
+    /// Paper-style defaults (κ = 3) with the default sketch.
     pub fn new(epsilon: f64, t_cons: f64) -> Self {
         SketchApproxConfig {
             epsilon,
             t_cons,
             kappa: crate::predictor::DEFAULT_KAPPA,
-            sketch: sketch_config_from_env(),
+            sketch: SketchConfig::default(),
         }
     }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        if self.epsilon <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "epsilon must be positive".into(),
-            });
-        }
-        if self.t_cons <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "t_cons must be positive".into(),
-            });
-        }
-        if self.kappa <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "kappa must be positive".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Builds a [`SketchConfig`] from the environment: `PATHREP_SKETCH_COLS`
-/// overrides the sketch dimension (unset, blank, unparsable, or zero fall
-/// back to the built-in default) and `PATHREP_SKETCH_ITERS` the power
-/// iterations (zero is a valid setting — it disables them). The seed is
-/// never environment-driven: determinism is part of the contract.
-pub fn sketch_config_from_env() -> SketchConfig {
-    let mut config = SketchConfig::default();
-    if let Some(cols) = env_usize(pathrep_obs::config::ENV_SKETCH_COLS) {
-        if cols > 0 {
-            config.sketch_cols = cols;
-        }
-    }
-    if let Some(iters) = env_usize(pathrep_obs::config::ENV_SKETCH_ITERS) {
-        config.power_iters = iters;
-    }
-    config
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Exact-mode sketched selection: `r` = numerical rank of the sketch.
@@ -131,41 +63,14 @@ pub fn sketch_exact_select(
     mu: &[f64],
     kappa: f64,
     sketch: &SketchConfig,
-) -> Result<SketchSelection, CoreError> {
+) -> Result<Selection, CoreError> {
     let _span = pathrep_obs::span!("sketch_exact_select");
-    if mu.len() != a.nrows() {
-        return Err(CoreError::InvalidArgument {
-            what: "mean vector must match the row count of A".into(),
-        });
-    }
-    if kappa <= 0.0 {
-        return Err(CoreError::InvalidArgument {
-            what: "kappa must be positive".into(),
-        });
-    }
-    let sk = sketched_svd(a, sketch)?;
-    let diag = a.gram_diag();
-    let rank = sk.svd().rank(RANK_TOL).max(1);
-    let (selected, predictor, remaining) = evaluate_candidate(a, &sk, &diag, mu, rank, kappa)?;
-    let trace = vec![(rank, 0.0)];
-    record_outcome("sketch_exact_select", &sk, rank, selected.len(), 0.0, &trace);
-    Ok(SketchSelection {
-        selected,
-        remaining,
-        predictor,
-        epsilon_r: 0.0,
-        rank,
-        sketch_cols: sk.sketch_cols(),
-        power_iters: sk.power_iters(),
-        energy_capture: sk.energy_capture(),
-        trace,
-    })
+    let sketch = sketched_svd(a, sketch)?;
+    search(&Source::Sketched { a, sketch: &sketch }, mu, kappa, Goal::Exact)
 }
 
-/// Tolerance-mode sketched selection: Algorithm 1's bisection over `r`,
-/// evaluating each candidate with the sketched subspace and the thin
-/// cross-Gram predictor. Mirrors [`crate::approx::approx_select`] with
-/// the bisection schedule.
+/// Tolerance-mode sketched selection: Algorithm 1's bisection over `r`
+/// in the sketched subspace, with the effective rank at η = 5 %.
 ///
 /// # Errors
 ///
@@ -176,133 +81,16 @@ pub fn sketch_approx_select(
     a: &SparseMatrix,
     mu: &[f64],
     config: &SketchApproxConfig,
-) -> Result<SketchSelection, CoreError> {
+) -> Result<Selection, CoreError> {
     let _span = pathrep_obs::span!("sketch_approx_select");
-    config.validate()?;
-    if mu.len() != a.nrows() {
-        return Err(CoreError::InvalidArgument {
-            what: "mean vector must match the row count of A".into(),
-        });
-    }
-    let sk = sketched_svd(a, &config.sketch)?;
-    let diag = a.gram_diag();
-    let rank = sk.svd().rank(RANK_TOL).max(1);
-    let mut trace: Vec<(usize, f64)> = Vec::new();
-
-    let mut evaluate = |r: usize| -> Result<
-        (Vec<usize>, MeasurementPredictor, Vec<usize>, f64),
-        CoreError,
-    > {
-        let _span = pathrep_obs::span!("evaluate_candidate");
-        let (selected, predictor, remaining) =
-            evaluate_candidate(a, &sk, &diag, mu, r, config.kappa)?;
-        let eps = if remaining.is_empty() {
-            0.0
-        } else {
-            predictor.epsilon(config.t_cons)
-        };
-        trace.push((r, eps));
-        pathrep_obs::counter_add("core.sketch.evaluations", 1);
-        Ok((selected, predictor, remaining, eps))
+    let sketch = sketched_svd(a, &config.sketch)?;
+    let goal = Goal::Tolerance {
+        epsilon: config.epsilon,
+        t_cons: config.t_cons,
+        schedule: Schedule::Bisection,
+        eta: DEFAULT_ETA,
     };
-
-    let mut best = evaluate(rank)?;
-    if best.3 <= config.epsilon {
-        // Bisection on the (empirically monotone) error-vs-r curve, as in
-        // the dense Algorithm 1.
-        let mut lo = 1usize;
-        let mut hi = rank;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let cand = evaluate(mid)?;
-            if cand.3 <= config.epsilon {
-                best = cand;
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        while best.3 > config.epsilon && best.0.len() < rank {
-            best = evaluate(best.0.len() + 1)?;
-        }
-    } else {
-        pathrep_obs::warn("core.sketch.tolerance_unmet", || {
-            format!(
-                "sketch-rank selection (r={rank}) already exceeds tolerance: \
-                 epsilon_r={:.6e} > epsilon={:.6e}",
-                best.3, config.epsilon
-            )
-        });
-    }
-
-    let (selected, predictor, remaining, epsilon_r) = best;
-    record_outcome(
-        "sketch_approx_select",
-        &sk,
-        rank,
-        selected.len(),
-        epsilon_r,
-        &trace,
-    );
-    Ok(SketchSelection {
-        selected,
-        remaining,
-        predictor,
-        epsilon_r,
-        rank,
-        sketch_cols: sk.sketch_cols(),
-        power_iters: sk.power_iters(),
-        energy_capture: sk.energy_capture(),
-        trace,
-    })
-}
-
-/// One Algorithm-2 + Theorem-2 evaluation at a candidate `r`, entirely
-/// from sparse building blocks: pivoted QR on the sketched left factor,
-/// then the thin cross-Gram `C = A·A_selᵀ` for the predictor.
-fn evaluate_candidate(
-    a: &SparseMatrix,
-    sk: &SketchedSvd,
-    diag: &[f64],
-    mu: &[f64],
-    r: usize,
-    kappa: f64,
-) -> Result<(Vec<usize>, MeasurementPredictor, Vec<usize>), CoreError> {
-    let selected = select_rows_from_left(sk.svd(), a.nrows(), r)?;
-    let a_sel = a.select_rows_dense(&selected)?;
-    let cross = a.matmul_dense(&a_sel.transpose())?;
-    let (predictor, remaining) =
-        MeasurementPredictor::from_cross_gram(&cross, diag, mu, &selected, kappa)?;
-    Ok((selected, predictor, remaining))
-}
-
-fn record_outcome(
-    name: &'static str,
-    sk: &SketchedSvd,
-    rank: usize,
-    selected: usize,
-    epsilon_r: f64,
-    trace: &[(usize, f64)],
-) {
-    pathrep_obs::counter_add("core.sketch.selections", 1);
-    pathrep_obs::gauge_set("core.sketch.rank", rank as f64);
-    pathrep_obs::gauge_set("core.sketch.selected", selected as f64);
-    pathrep_obs::gauge_set("core.sketch.energy_capture", sk.energy_capture());
-    if !pathrep_obs::ledger::collecting() {
-        return;
-    }
-    let r_trace: Vec<f64> = trace.iter().map(|&(r, _)| r as f64).collect();
-    let eps_trace: Vec<f64> = trace.iter().map(|&(_, e)| e).collect();
-    pathrep_obs::ledger::record("core", name, |f| {
-        f.int("rank", rank as u64)
-            .int("selected", selected as u64)
-            .int("sketch_cols", sk.sketch_cols() as u64)
-            .int("power_iters", sk.power_iters() as u64)
-            .num("energy_capture", sk.energy_capture())
-            .num("epsilon_r", epsilon_r)
-            .nums("r_trace", &r_trace)
-            .nums("epsilon_r_trace", &eps_trace);
-    });
+    search(&Source::Sketched { a, sketch: &sketch }, mu, config.kappa, goal)
 }
 
 #[cfg(test)]
@@ -419,7 +207,6 @@ mod tests {
         let sel = sketch_approx_select(&sparse, &mu, &cfg).unwrap();
         assert!(sel.selected.len() <= 12);
         assert!(sel.epsilon_r <= 0.05 + 1e-12, "epsilon_r {}", sel.epsilon_r);
-        assert!(sel.sketch_cols == 12);
     }
 
     #[test]
@@ -445,30 +232,5 @@ mod tests {
             .is_err());
         assert!(sketch_exact_select(&sparse, &mu, -1.0, &SketchConfig::default()).is_err());
         assert!(sketch_exact_select(&sparse, &mu[..2], 3.0, &SketchConfig::default()).is_err());
-    }
-
-    #[test]
-    fn env_knobs_override_defaults() {
-        // Serialize against any other env-reading test via a named lock.
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        let cols_var = pathrep_obs::config::ENV_SKETCH_COLS;
-        let iters_var = pathrep_obs::config::ENV_SKETCH_ITERS;
-        std::env::remove_var(cols_var);
-        std::env::remove_var(iters_var);
-        let base = sketch_config_from_env();
-        assert_eq!(base, SketchConfig::default());
-        std::env::set_var(cols_var, "48");
-        std::env::set_var(iters_var, "0");
-        let tuned = sketch_config_from_env();
-        assert_eq!(tuned.sketch_cols, 48);
-        assert_eq!(tuned.power_iters, 0, "zero power iterations is valid");
-        // Zero / garbage sketch-cols fall back to the default.
-        std::env::set_var(cols_var, "0");
-        assert_eq!(sketch_config_from_env().sketch_cols, base.sketch_cols);
-        std::env::set_var(cols_var, "lots");
-        assert_eq!(sketch_config_from_env().sketch_cols, base.sketch_cols);
-        std::env::remove_var(cols_var);
-        std::env::remove_var(iters_var);
     }
 }

@@ -23,31 +23,22 @@ use pathrep_linalg::Matrix;
 /// * [`CoreError::Linalg`] if a factorization fails.
 pub fn select_rows(a: &Matrix, r: usize) -> Result<Vec<usize>, CoreError> {
     let svd = Svd::compute(a)?;
-    select_rows_with_svd(a, &svd, r)
+    select_rows_from_left(&svd, r)
 }
 
-/// [`select_rows`] with a precomputed SVD of `a` — Algorithm 1 calls this
-/// once per candidate `r`, so recomputing the SVD would dominate.
+/// [`select_rows`] from a precomputed left factor: pivots on the leading
+/// `r` columns of `svd.u()` without ever touching `A`, whose row count is
+/// `svd.u().nrows()`. Algorithm 1 calls this once per candidate `r` with
+/// either the dense SVD or a sketched one.
 ///
 /// # Errors
 ///
-/// Same as [`select_rows`].
-pub fn select_rows_with_svd(a: &Matrix, svd: &Svd, r: usize) -> Result<Vec<usize>, CoreError> {
-    select_rows_from_left(svd, a.nrows(), r)
-}
-
-/// [`select_rows_with_svd`] from the left factor alone: pivots on the
-/// leading `r` columns of `svd.u()` without ever touching `A`. This is
-/// the entry point for the sketched pipeline, where `A` is sparse and
-/// the (approximate) left subspace comes from a randomized range-finder;
-/// `n` is the row count of the original matrix (`== svd.u().nrows()`).
-///
-/// # Errors
-///
-/// Same as [`select_rows`].
-pub fn select_rows_from_left(svd: &Svd, n: usize, r: usize) -> Result<Vec<usize>, CoreError> {
+/// Same as [`select_rows`], plus [`CoreError::InvalidArgument`] when `r`
+/// exceeds the number of singular values.
+pub fn select_rows_from_left(svd: &Svd, r: usize) -> Result<Vec<usize>, CoreError> {
     let _span = pathrep_obs::span!("subset_select");
     pathrep_obs::counter_add("core.subset.calls", 1);
+    let n = svd.u().nrows();
     if r == 0 || r > n {
         return Err(CoreError::InvalidArgument {
             what: format!("subset size r={r} must lie in 1..={n}"),
@@ -100,7 +91,7 @@ mod tests {
         let svd = Svd::compute(&a).unwrap();
         let rank = svd.rank(1e-10);
         assert_eq!(rank, 3);
-        let sel = select_rows_with_svd(&a, &svd, rank).unwrap();
+        let sel = select_rows_from_left(&svd, rank).unwrap();
         let ar = a.select_rows(&sel);
         // Row space check: rank([A; A_r]) == rank(A_r).
         let stacked = a.vstack(&ar).unwrap();

@@ -57,10 +57,12 @@ proptest! {
     fn predictor_error_shrinks_with_more_measurements(a in sens_strategy(8, 5)) {
         let mu = vec![100.0; 8];
         let gram = a.matmul(&a.transpose()).expect("gram");
-        let (p2, _) = MeasurementPredictor::from_gram(&gram, &mu, &[0, 1], DEFAULT_KAPPA)
-            .expect("two");
-        let (p4, _) = MeasurementPredictor::from_gram(&gram, &mu, &[0, 1, 2, 3], DEFAULT_KAPPA)
-            .expect("four");
+        let diag: Vec<f64> = (0..8).map(|i| gram[(i, i)]).collect();
+        let predictor = |sel: &[usize]| {
+            MeasurementPredictor::from_cross_gram(&gram.select_cols(sel), &diag, &mu, sel, DEFAULT_KAPPA)
+        };
+        let (p2, _) = predictor(&[0, 1]).expect("two");
+        let (p4, _) = predictor(&[0, 1, 2, 3]).expect("four");
         // Compare the shared remaining paths 4..8: more measurements can
         // only reduce the MMSE error.
         let s2: f64 = p2.stds()[2..].iter().sum();

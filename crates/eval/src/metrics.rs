@@ -310,9 +310,15 @@ mod tests {
         // error is non-trivial.
         let half = &sel.selected[..sel.selected.len().div_ceil(2)];
         let gram = dm.a().matmul(&dm.a().transpose()).unwrap();
-        let (pred, remaining) =
-            pathrep_core::MeasurementPredictor::from_gram(&gram, dm.mu_paths(), half, 3.0)
-                .unwrap();
+        let diag: Vec<f64> = (0..gram.nrows()).map(|i| gram[(i, i)]).collect();
+        let (pred, remaining) = pathrep_core::MeasurementPredictor::from_cross_gram(
+            &gram.select_cols(half),
+            &diag,
+            dm.mu_paths(),
+            half,
+            3.0,
+        )
+        .unwrap();
         let plan = MeasurementPlan::Paths {
             selected: half,
             predictor: &pred,

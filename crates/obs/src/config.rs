@@ -69,17 +69,6 @@ pub const ENV_SLO: &str = "PATHREP_OBS_SLO";
 /// unset means the 5000 ms default, `0` disables the watchdog.
 pub const ENV_SERVE_WATCHDOG_MS: &str = "PATHREP_SERVE_WATCHDOG_MS";
 
-/// Sketch width `ℓ` of the randomized range-finder used by the sparse
-/// selection pipeline (read by `pathrep-core`, registered here so the
-/// env-drift guard covers it): unset, blank, unparsable or `0` means the
-/// built-in default. Results are deterministic at any setting — the
-/// sketch is seeded — but different widths select in different subspaces.
-pub const ENV_SKETCH_COLS: &str = "PATHREP_SKETCH_COLS";
-/// Subspace (power) iteration count of the randomized range-finder (read
-/// by `pathrep-core`): unset, blank or unparsable means the built-in
-/// default; `0` is a valid setting (no power iterations).
-pub const ENV_SKETCH_ITERS: &str = "PATHREP_SKETCH_ITERS";
-
 /// Every recognized pathrep environment variable, for docs and drift
 /// guards.
 pub const ALL_ENV_VARS: &[&str] = &[
@@ -101,8 +90,6 @@ pub const ALL_ENV_VARS: &[&str] = &[
     ENV_FLIGHT_DUMP,
     ENV_SLO,
     ENV_SERVE_WATCHDOG_MS,
-    ENV_SKETCH_COLS,
-    ENV_SKETCH_ITERS,
 ];
 
 /// Whether `PATHREP_OBS` asks for collection (`1`/`true`/`on`/`yes`).
@@ -252,11 +239,11 @@ mod tests {
             ENV_OBS, ENV_JSON, ENV_TRACE, ENV_PROM, ENV_LEDGER, ENV_RUN_ID, ENV_HTTP,
             ENV_THREADS, ENV_SERVE_ADDR, ENV_SERVE_BATCH, ENV_SERVE_QUEUE, ENV_SERVE_CACHE,
             ENV_SERVE_SHARDS, ENV_SERVE_PROTO, ENV_FLIGHT, ENV_FLIGHT_DUMP, ENV_SLO,
-            ENV_SERVE_WATCHDOG_MS, ENV_SKETCH_COLS, ENV_SKETCH_ITERS,
+            ENV_SERVE_WATCHDOG_MS,
         ] {
             assert!(ALL_ENV_VARS.contains(&v));
         }
-        assert_eq!(ALL_ENV_VARS.len(), 20);
+        assert_eq!(ALL_ENV_VARS.len(), 18);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 #                     JSON + binary protocol soaks)
 #   obs_gate.sh       observability-plane contract (scrape, ledger, spans)
 #   large_gate.sh     sparse/sketched *_large workloads under a wall
-#                     timeout, plus sketch-vs-dense parity
+#                     timeout
 #
 # Each gate's full output is captured to a temp log and dumped only when
 # that gate fails; the summary stays one line per gate. Exits non-zero
