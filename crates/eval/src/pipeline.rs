@@ -4,9 +4,9 @@
 use crate::suite::BenchmarkSpec;
 use pathrep_circuit::generator::{CircuitGenerator, PlacedCircuit};
 use pathrep_circuit::paths::{decompose_into_segments, Path, SegmentDecomposition};
+use pathrep_linalg::sparse::SparseMatrix;
 use pathrep_ssta::extract::{CriticalPathExtractor, ExtractConfig};
 use pathrep_ssta::yield_est::{monte_carlo_circuit_yield, nominal_circuit_delay};
-use pathrep_ssta::SparseDelayModel;
 use pathrep_variation::model::VariationModel;
 use pathrep_variation::sensitivity::DelayModel;
 use std::error::Error;
@@ -102,13 +102,6 @@ fn wrap<E: fmt::Display>(e: E) -> PrepareError {
     }
 }
 
-/// Runs the full front-end for one benchmark.
-///
-/// # Errors
-///
-/// Returns [`PrepareError`] when generation, extraction or model
-/// construction fails (e.g. no critical path qualifies — tighten
-/// `t_cons_factor`).
 /// Counters every experiment report carries even at zero — a Table-1 run
 /// performs no ADMM solve, and the report should say so explicitly rather
 /// than omit the row.
@@ -126,24 +119,30 @@ const STANDARD_COUNTERS: &[&str] = &[
     "ssta.extract.paths",
 ];
 
-fn declare_standard_counters() {
+/// Declares the standard counters and generates `spec`'s circuit.
+fn generate(spec: &BenchmarkSpec) -> Result<PlacedCircuit, PrepareError> {
     for name in STANDARD_COUNTERS {
         pathrep_obs::counter_add(name, 0);
     }
+    let _g = pathrep_obs::span!("generate_circuit");
+    CircuitGenerator::new(spec.generator_config())
+        .generate()
+        .map_err(wrap)
 }
 
+/// Runs the full front-end for one benchmark.
+///
+/// # Errors
+///
+/// Returns [`PrepareError`] when generation, extraction or model
+/// construction fails (e.g. no critical path qualifies — tighten
+/// `t_cons_factor`).
 pub fn prepare(
     spec: &BenchmarkSpec,
     config: &PipelineConfig,
 ) -> Result<PreparedBenchmark, PrepareError> {
-    declare_standard_counters();
     let _span = pathrep_obs::span!("prepare");
-    let circuit = {
-        let _g = pathrep_obs::span!("generate_circuit");
-        CircuitGenerator::new(spec.generator_config())
-            .generate()
-            .map_err(wrap)?
-    };
+    let circuit = generate(spec)?;
     let model = spec.variation_model().with_random_scale(config.random_scale);
     prepare_circuit(circuit, model, config)
 }
@@ -160,40 +159,25 @@ pub fn prepare_circuit(
     config: &PipelineConfig,
 ) -> Result<PreparedBenchmark, PrepareError> {
     let _span = pathrep_obs::span!("prepare_circuit");
-    let nominal = nominal_circuit_delay(&circuit);
-    let t_cons = nominal * config.t_cons_factor;
+    let t_cons = nominal_circuit_delay(&circuit) * config.t_cons_factor;
     let circuit_yield = {
         let _g = pathrep_obs::span!("circuit_yield");
         monte_carlo_circuit_yield(&circuit, &model, t_cons, config.yield_samples, config.seed)
     };
     // Paper: extract all paths with yield-loss > fraction·(1 − Y).
     let threshold = (config.yield_loss_fraction * (1.0 - circuit_yield)).max(1e-9);
-    let extract_cfg =
-        ExtractConfig::new(t_cons, threshold).with_max_paths(config.max_paths);
-    let extracted = CriticalPathExtractor::new(&circuit, &model, extract_cfg).extract();
-    if extracted.is_empty() {
-        return Err(PrepareError {
-            message: format!(
-                "no statistically-critical paths at t_cons {t_cons:.1} ps \
-                 (yield {circuit_yield:.3}, threshold {threshold:.2e})"
-            ),
-        });
-    }
-    let paths: Vec<Path> = extracted.into_iter().map(|e| e.path).collect();
-    pathrep_obs::gauge_set("eval.pipeline.target_paths", paths.len() as f64);
+    let budget = PathBudget::YieldLoss {
+        threshold,
+        max_paths: config.max_paths,
+    };
+    let (paths, decomposition, delay_model) = extract_and_build(&circuit, &model, t_cons, budget)?;
     pathrep_obs::ledger::record("eval", "prepare", |f| {
         f.int("target_paths", paths.len() as u64)
             .num("t_cons", t_cons)
             .num("circuit_yield", circuit_yield)
             .num("yield_loss_threshold", threshold);
     });
-    let (decomposition, delay_model) = {
-        let _g = pathrep_obs::span!("build_delay_model");
-        let decomposition = decompose_into_segments(&paths).map_err(wrap)?;
-        let delay_model =
-            DelayModel::build(&circuit, &paths, &decomposition, &model).map_err(wrap)?;
-        (decomposition, delay_model)
-    };
+    let delay_model = delay_model.to_dense();
     Ok(PreparedBenchmark {
         circuit,
         model,
@@ -205,14 +189,62 @@ pub fn prepare_circuit(
     })
 }
 
+/// How a front end sizes `P_tar`: the one step in which [`prepare_circuit`]
+/// and [`prepare_sparse`] differ.
+#[derive(Debug)]
+enum PathBudget {
+    /// Every path whose yield loss exceeds `threshold`, capped at
+    /// `max_paths` (the paper's rule).
+    YieldLoss { threshold: f64, max_paths: usize },
+    /// The `k` statistically-most-critical paths, with no threshold.
+    KBest(usize),
+}
+
+/// The front end both pipelines share once `P_tar` is sized: extract the
+/// target paths, decompose them into segments and assemble the delay
+/// model.
+fn extract_and_build(
+    circuit: &PlacedCircuit,
+    model: &VariationModel,
+    t_cons: f64,
+    budget: PathBudget,
+) -> Result<(Vec<Path>, SegmentDecomposition, DelayModel<SparseMatrix>), PrepareError> {
+    let extracted = match budget {
+        PathBudget::YieldLoss {
+            threshold,
+            max_paths,
+        } => {
+            let cfg = ExtractConfig::new(t_cons, threshold).with_max_paths(max_paths);
+            CriticalPathExtractor::new(circuit, model, cfg).extract()
+        }
+        // The threshold is irrelevant in k-best mode; t_cons still anchors
+        // the per-path criticality scores.
+        PathBudget::KBest(k) => {
+            let cfg = ExtractConfig::new(t_cons, 1e-6);
+            CriticalPathExtractor::new(circuit, model, cfg).extract_k_best(k)
+        }
+    };
+    if extracted.is_empty() {
+        return Err(PrepareError {
+            message: format!("no statistically-critical paths at t_cons {t_cons:.1} ps ({budget:?})"),
+        });
+    }
+    let paths: Vec<Path> = extracted.into_iter().map(|e| e.path).collect();
+    pathrep_obs::gauge_set("eval.pipeline.target_paths", paths.len() as f64);
+    let _g = pathrep_obs::span!("build_delay_model");
+    let decomposition = decompose_into_segments(&paths).map_err(wrap)?;
+    let delay_model = DelayModel::build(circuit, &paths, &decomposition, model).map_err(wrap)?;
+    Ok((paths, decomposition, delay_model))
+}
+
 /// Tuning knobs for the sparse (large-instance) front-end.
 ///
 /// The dense pipeline sizes `P_tar` by a Monte-Carlo yield threshold;
 /// at 100k+ gates that estimate is itself a heavy dense computation, and
 /// the threshold census can explode. The sparse front-end instead asks
 /// for the `k` statistically-most-critical paths directly
-/// ([`CriticalPathExtractor::extract_k_best`]) and assembles the delay
-/// model in CSR form end-to-end.
+/// ([`CriticalPathExtractor::extract_k_best`]) and keeps the CSR delay
+/// model instead of its dense view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparsePipelineConfig {
     /// Timing constraint as a fraction of the nominal circuit delay.
@@ -245,8 +277,8 @@ pub struct PreparedSparseBenchmark {
     pub paths: Vec<Path>,
     /// Their segment decomposition.
     pub decomposition: SegmentDecomposition,
-    /// The sparse linear delay model `d = µ + A·x`.
-    pub delay_model: SparseDelayModel,
+    /// The linear delay model `d = µ + A·x`, in CSR form.
+    pub delay_model: DelayModel<SparseMatrix>,
 }
 
 impl PreparedSparseBenchmark {
@@ -268,41 +300,20 @@ pub fn prepare_sparse(
     spec: &BenchmarkSpec,
     config: &SparsePipelineConfig,
 ) -> Result<PreparedSparseBenchmark, PrepareError> {
-    declare_standard_counters();
     let _span = pathrep_obs::span!("prepare_sparse");
-    let circuit = {
-        let _g = pathrep_obs::span!("generate_circuit");
-        CircuitGenerator::new(spec.generator_config())
-            .generate()
-            .map_err(wrap)?
-    };
+    let circuit = generate(spec)?;
     let model = spec.variation_model();
-    let nominal = nominal_circuit_delay(&circuit);
-    let t_cons = nominal * config.t_cons_factor;
-    // The threshold is irrelevant in k-best mode; t_cons still anchors the
-    // per-path criticality scores.
-    let extract_cfg = ExtractConfig::new(t_cons, 1e-6);
-    let extracted =
-        CriticalPathExtractor::new(&circuit, &model, extract_cfg).extract_k_best(config.k_paths);
-    if extracted.is_empty() {
-        return Err(PrepareError {
-            message: format!("k-best extraction returned no paths at t_cons {t_cons:.1} ps"),
-        });
-    }
-    let paths: Vec<Path> = extracted.into_iter().map(|e| e.path).collect();
-    pathrep_obs::gauge_set("eval.pipeline.target_paths", paths.len() as f64);
-    let (decomposition, delay_model) = {
-        let _g = pathrep_obs::span!("build_delay_model");
-        let decomposition = decompose_into_segments(&paths).map_err(wrap)?;
-        let delay_model =
-            SparseDelayModel::build(&circuit, &paths, &decomposition, &model).map_err(wrap)?;
-        (decomposition, delay_model)
-    };
+    let t_cons = nominal_circuit_delay(&circuit) * config.t_cons_factor;
+    let (paths, decomposition, delay_model) =
+        extract_and_build(&circuit, &model, t_cons, PathBudget::KBest(config.k_paths))?;
     pathrep_obs::ledger::record("eval", "prepare_sparse", |f| {
         f.int("target_paths", paths.len() as u64)
             .int("segments", decomposition.segment_count() as u64)
             .int("variables", delay_model.variable_count() as u64)
+            .int("nnz_g", delay_model.g().nnz() as u64)
+            .int("nnz_sigma", delay_model.sigma().nnz() as u64)
             .int("nnz_a", delay_model.a().nnz() as u64)
+            .num("density_a", delay_model.a().density())
             .num("t_cons", t_cons);
     });
     Ok(PreparedSparseBenchmark {
@@ -407,24 +418,21 @@ mod tests {
             pb.decomposition.segment_count()
         );
         assert!(pb.t_cons > 0.0);
-        // The model is genuinely sparse, not a dense matrix in disguise.
-        assert!(pb.delay_model.a().density() < 0.5);
     }
 
     #[test]
-    fn prepare_sparse_agrees_with_dense_on_shared_paths() {
-        // Same circuit, same paths ⇒ the CSR model must match the dense
-        // builder. prepare() and prepare_sparse() pick paths differently,
-        // so rebuild the dense model on the sparse pipeline's paths.
+    fn sparse_model_is_actually_sparse() {
         let cfg = SparsePipelineConfig {
             k_paths: 40,
             ..SparsePipelineConfig::default()
         };
-        let pb = prepare_sparse(&tiny_spec(), &cfg).unwrap();
-        let dense =
-            DelayModel::build(&pb.circuit, &pb.paths, &pb.decomposition, &pb.model).unwrap();
-        assert!(pb.delay_model.a().to_dense().approx_eq(dense.a(), 0.0));
-        assert_eq!(pb.delay_model.mu_paths(), dense.mu_paths());
+        let dm = prepare_sparse(&tiny_spec(), &cfg).unwrap().delay_model;
+        assert!(
+            dm.a().density() < 0.5,
+            "A density {} — the block structure should keep it sparse",
+            dm.a().density()
+        );
+        assert!(dm.g().density() < 0.5);
     }
 
     #[test]

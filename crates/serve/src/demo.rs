@@ -62,7 +62,7 @@ pub fn build_quickstart_model() -> Result<DemoModel, Box<dyn Error>> {
     ];
     let dec = decompose_into_segments(&paths)?;
     let model = VariationModel::three_level();
-    let delay_model = DelayModel::build(&circuit, &paths, &dec, &model)?;
+    let delay_model = DelayModel::build(&circuit, &paths, &dec, &model)?.to_dense();
 
     let t_cons = delay_model
         .mu_paths()

@@ -13,18 +13,15 @@
 //! * [`extract`] — **statistically-critical path extraction**: best-first
 //!   branch-and-bound enumeration of all paths whose timing yield-loss
 //!   exceeds a threshold (the paper's ref. 11), the producer of `P_tar`.
-
-//! [`sparse_model`] adds the CSR assembly of `A = G·Σ` for the
-//! large-instance sketched-selection pipeline, value-compatible with the
-//! dense builder.
+//!
+//! The delay model `A = G·Σ` over the extracted paths is assembled by
+//! `pathrep_variation::sensitivity::DelayModel::build`.
 
 pub mod block;
 pub mod criticality;
 pub mod canonical;
 pub mod extract;
 pub mod sparse;
-pub mod sparse_model;
 pub mod yield_est;
 
 pub use extract::{CriticalPathExtractor, ExtractConfig, ExtractedPath};
-pub use sparse_model::SparseDelayModel;

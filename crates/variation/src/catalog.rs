@@ -1,7 +1,8 @@
 //! Global variable indexing over a whole circuit.
 //!
-//! [`crate::sensitivity::DelayModel`] compacts the variable space to the
-//! covered subcircuit (as the paper's `A` does). The SSTA substrate instead
+//! [`crate::sensitivity::DelayModel::build`], the one delay-model
+//! assembly, interns a compact catalog over the covered subcircuit only
+//! (as the paper's `A` does). The SSTA substrate instead
 //! works over the *whole* circuit, so it needs a fixed, dense numbering of
 //! every possible variable: all region components of both parameters first,
 //! then one random variable per gate.

@@ -5,6 +5,7 @@ use crate::model::{Parameter, Variable, VariationModel};
 use pathrep_circuit::generator::PlacedCircuit;
 use pathrep_circuit::netlist::GateId;
 use pathrep_circuit::paths::{Path, SegmentDecomposition};
+use pathrep_linalg::sparse::SparseMatrix;
 use pathrep_linalg::{LinalgError, Matrix};
 use std::collections::HashMap;
 use std::fmt;
@@ -90,22 +91,29 @@ pub fn gate_delay_sigma(circuit: &PlacedCircuit, model: &VariationModel, gate: G
 
 /// The assembled linear delay model for one target-path set.
 ///
+/// [`DelayModel::build`] assembles `G`, `Σ` and `A = G·Σ` once, in CSR
+/// form: a path touches only its own segments and a segment's gates sit
+/// in only a few variation regions, so all three are block-sparse.
+/// [`DelayModel::to_dense`] expands the same model into the dense view
+/// that the dense factorizations read; `DelayModel` without a type
+/// argument names that view.
+///
 /// All quantities are in ps; the variation vector `x` is standard normal.
 #[derive(Debug, Clone)]
-pub struct DelayModel {
+pub struct DelayModel<M = Matrix> {
     variables: Vec<Variable>,
     /// Path/segment incidence (`n` × `n_S`, 0/1).
-    g: Matrix,
+    g: M,
     /// Segment sensitivities (`n_S` × `|x|`).
-    sigma: Matrix,
+    sigma: M,
     /// `A = G·Σ` (`n` × `|x|`).
-    a: Matrix,
+    a: M,
     mu_segments: Vec<f64>,
     mu_paths: Vec<f64>,
     covered_regions: usize,
 }
 
-impl DelayModel {
+impl DelayModel<SparseMatrix> {
     /// Builds the delay model for `paths` (already decomposed into `dec`)
     /// on `circuit` under `model`.
     ///
@@ -127,81 +135,74 @@ impl DelayModel {
         let _span = pathrep_obs::span!("delay_model_build");
 
         // --- Variable catalog over the covered subcircuit ---
+        // Region variables (per parameter) then gate randoms, in
+        // covered-gate order, for a stable catalog.
         let hierarchy = model.hierarchy();
         let mut var_index: HashMap<Variable, usize> = HashMap::new();
         let mut variables: Vec<Variable> = Vec::new();
-        let mut covered_region_flats: Vec<usize> = Vec::new();
-        let mut intern = |v: Variable, variables: &mut Vec<Variable>| -> usize {
-            *var_index.entry(v).or_insert_with(|| {
+        let mut intern = |v: Variable| {
+            var_index.entry(v).or_insert_with(|| {
                 variables.push(v);
                 variables.len() - 1
-            })
+            });
         };
-        // First pass: region variables (per parameter) then gate randoms,
-        // in covered-gate order, for a stable catalog.
         for &g in dec.covered_gates() {
             let (x, y) = circuit.placement().location(g);
             for region in hierarchy.regions_containing(x, y) {
-                let flat = hierarchy.flat_index(region);
-                covered_region_flats.push(flat);
+                let region_flat = hierarchy.flat_index(region);
                 for param in Parameter::ALL {
-                    intern(
-                        Variable::Region {
-                            param,
-                            region_flat: flat,
-                        },
-                        &mut variables,
-                    );
+                    intern(Variable::Region { param, region_flat });
                 }
             }
         }
-        covered_region_flats.sort_unstable();
-        covered_region_flats.dedup();
-        let covered_regions = covered_region_flats.len();
         for &g in dec.covered_gates() {
-            intern(Variable::GateRandom { gate: g.index() }, &mut variables);
+            intern(Variable::GateRandom { gate: g.index() });
         }
+        // Each covered region contributes one variable per parameter.
+        let covered_regions = variables
+            .iter()
+            .filter(|v| matches!(v, Variable::Region { .. }))
+            .count()
+            / Parameter::ALL.len();
 
-        // --- Per-gate sensitivity rows, accumulated into segments ---
+        // --- Per-gate sensitivity terms, accumulated into segment rows ---
+        // `from_triplets` sums duplicates in input order: gate order
+        // within the segment, term order within the gate.
         let n_vars = variables.len();
         let n_seg = dec.segment_count();
-        let mut sigma = Matrix::zeros(n_seg, n_vars);
         let mut mu_segments = vec![0.0; n_seg];
+        let mut sigma_terms: Vec<(usize, usize, f64)> = Vec::new();
         for (si, seg) in dec.segments().iter().enumerate() {
             for &g in seg.gates() {
                 mu_segments[si] += circuit.nominal_delay(g);
                 for (var, coeff) in gate_contribution_terms(circuit, model, g) {
-                    sigma[(si, var_index[&var])] += coeff;
+                    sigma_terms.push((si, var_index[&var], coeff));
                 }
             }
         }
+        let sigma = SparseMatrix::from_triplets(n_seg, n_vars, &sigma_terms)?;
 
         // --- Incidence and products ---
-        let mut g_mat = Matrix::zeros(paths.len(), n_seg);
-        for p in 0..paths.len() {
-            for &s in dec.path_segments(p) {
-                g_mat[(p, s)] = 1.0;
-            }
-        }
+        let incidence: Vec<(usize, usize, f64)> = (0..paths.len())
+            .flat_map(|p| dec.path_segments(p).iter().map(move |&s| (p, s, 1.0)))
+            .collect();
+        let g = SparseMatrix::from_triplets(paths.len(), n_seg, &incidence)?;
         {
             // Assembly work: one accumulation per (gate, contribution
-            // term) while building Σ. The G·Σ product and G·μ records
-            // come from the matmul/matvec kernels themselves.
-            let terms: u64 = dec
-                .segments()
-                .iter()
-                .map(|s| s.gates().len() as u64)
-                .sum();
-            let sig = (n_seg * n_vars) as u64;
-            pathrep_obs::work::record("delay_model_build", 7 * terms, 8 * sig, sig);
+            // term) while building Σ; the byte model counts the stored
+            // entries (16 bytes each: index + value). The G·Σ product and
+            // G·µ records come from the spmm/spmv kernels themselves.
+            let stored = (sigma.nnz() + g.nnz()) as u64;
+            let terms = sigma_terms.len() as u64;
+            pathrep_obs::work::record("delay_model_build", 7 * terms, 16 * stored, stored);
             pathrep_obs::counter_add("variation.model.variables", n_vars as u64);
             pathrep_obs::counter_add("variation.model.segments", n_seg as u64);
         }
-        let a = g_mat.matmul(&sigma)?;
-        let mu_paths = g_mat.matvec(&mu_segments)?;
+        let a = g.matmul_sparse(&sigma)?;
+        let mu_paths = g.matvec(&mu_segments)?;
         Ok(DelayModel {
             variables,
-            g: g_mat,
+            g,
             sigma,
             a,
             mu_segments,
@@ -210,6 +211,22 @@ impl DelayModel {
         })
     }
 
+    /// The dense view of this model: `G`, `Σ` and `A` expanded (absent
+    /// entries become `+0.0`), catalog and nominal delays unchanged.
+    pub fn to_dense(&self) -> DelayModel {
+        DelayModel {
+            variables: self.variables.clone(),
+            g: self.g.to_dense(),
+            sigma: self.sigma.to_dense(),
+            a: self.a.to_dense(),
+            mu_segments: self.mu_segments.clone(),
+            mu_paths: self.mu_paths.clone(),
+            covered_regions: self.covered_regions,
+        }
+    }
+}
+
+impl<M> DelayModel<M> {
     /// The variable catalog (columns of `Σ` and `A`).
     pub fn variables(&self) -> &[Variable] {
         &self.variables
@@ -221,17 +238,17 @@ impl DelayModel {
     }
 
     /// Path/segment incidence matrix `G`.
-    pub fn g(&self) -> &Matrix {
+    pub fn g(&self) -> &M {
         &self.g
     }
 
     /// Segment sensitivity matrix `Σ`.
-    pub fn sigma(&self) -> &Matrix {
+    pub fn sigma(&self) -> &M {
         &self.sigma
     }
 
     /// Path sensitivity matrix `A = G·Σ`.
-    pub fn a(&self) -> &Matrix {
+    pub fn a(&self) -> &M {
         &self.a
     }
 
@@ -249,18 +266,16 @@ impl DelayModel {
     pub fn covered_region_count(&self) -> usize {
         self.covered_regions
     }
+}
 
+impl DelayModel {
     /// Path delays for a realization `x`: `µ + A·x`.
     ///
     /// # Errors
     ///
     /// Returns [`VariationError::Linalg`] when `x` has the wrong length.
     pub fn path_delays(&self, x: &[f64]) -> Result<Vec<f64>, VariationError> {
-        let mut d = self.a.matvec(x)?;
-        for (di, mu) in d.iter_mut().zip(self.mu_paths.iter()) {
-            *di += mu;
-        }
-        Ok(d)
+        affine(&self.a, &self.mu_paths, x)
     }
 
     /// Segment delays for a realization `x`: `µ_S + Σ·x`.
@@ -269,12 +284,17 @@ impl DelayModel {
     ///
     /// Returns [`VariationError::Linalg`] when `x` has the wrong length.
     pub fn segment_delays(&self, x: &[f64]) -> Result<Vec<f64>, VariationError> {
-        let mut d = self.sigma.matvec(x)?;
-        for (di, mu) in d.iter_mut().zip(self.mu_segments.iter()) {
-            *di += mu;
-        }
-        Ok(d)
+        affine(&self.sigma, &self.mu_segments, x)
     }
+}
+
+/// `µ + M·x`.
+fn affine(m: &Matrix, mu: &[f64], x: &[f64]) -> Result<Vec<f64>, VariationError> {
+    let mut d = m.matvec(x)?;
+    for (di, mu) in d.iter_mut().zip(mu) {
+        *di += mu;
+    }
+    Ok(d)
 }
 
 #[cfg(test)]
@@ -315,19 +335,35 @@ mod tests {
         (circuit, paths, dec)
     }
 
+    /// The dense view of the Figure-1 model.
+    fn figure1_dense() -> (PlacedCircuit, Vec<Path>, SegmentDecomposition, DelayModel) {
+        let (c, paths, dec) = figure1_model();
+        let dm = DelayModel::build(&c, &paths, &dec, &VariationModel::three_level())
+            .unwrap()
+            .to_dense();
+        (c, paths, dec, dm)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn a_equals_g_sigma() {
-        let (c, paths, dec) = figure1_model();
-        let dm = DelayModel::build(&c, &paths, &dec, &VariationModel::three_level()).unwrap();
+        // The CSR product and G·µ_S reproduce the dense kernels on the
+        // dense view bit-for-bit, zero signs included (the proptests
+        // check the same on generated circuits).
+        let (.., dm) = figure1_dense();
         let gs = dm.g().matmul(dm.sigma()).unwrap();
-        assert!(gs.approx_eq(dm.a(), 1e-12));
+        assert_eq!(bits(gs.as_slice()), bits(dm.a().as_slice()));
+        let mu = dm.g().matvec(dm.mu_segments()).unwrap();
+        assert_eq!(bits(&mu), bits(dm.mu_paths()));
     }
 
     #[test]
     fn variable_accounting_matches_paper_formula() {
         // |x| = 2·(covered regions) + (covered gates).
-        let (c, paths, dec) = figure1_model();
-        let dm = DelayModel::build(&c, &paths, &dec, &VariationModel::three_level()).unwrap();
+        let (.., dm) = figure1_dense();
         // All gates at one point ⇒ one region per level ⇒ 3 covered regions.
         assert_eq!(dm.covered_region_count(), 3);
         assert_eq!(dm.variable_count(), 2 * 3 + 9);
@@ -335,8 +371,7 @@ mod tests {
 
     #[test]
     fn nominal_paths_are_gate_delay_sums() {
-        let (c, paths, dec) = figure1_model();
-        let dm = DelayModel::build(&c, &paths, &dec, &VariationModel::three_level()).unwrap();
+        let (c, paths, _, dm) = figure1_dense();
         for (p, path) in paths.iter().enumerate() {
             let direct: f64 = path.gates().iter().map(|&g| c.nominal_delay(g)).sum();
             assert!((dm.mu_paths()[p] - direct).abs() < 1e-9);
@@ -346,8 +381,7 @@ mod tests {
     #[test]
     fn motivating_identity_holds_for_realizations() {
         // d_p1 = d_p2 − d_p3 + d_p4 for every realization (paper Section 2).
-        let (c, paths, dec) = figure1_model();
-        let dm = DelayModel::build(&c, &paths, &dec, &VariationModel::three_level()).unwrap();
+        let (.., dm) = figure1_dense();
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for _ in 0..20 {
@@ -364,8 +398,7 @@ mod tests {
 
     #[test]
     fn path_delay_equals_sum_of_its_segment_delays() {
-        let (c, paths, dec) = figure1_model();
-        let dm = DelayModel::build(&c, &paths, &dec, &VariationModel::three_level()).unwrap();
+        let (_, paths, dec, dm) = figure1_dense();
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         let x: Vec<f64> = (0..dm.variable_count())
@@ -395,7 +428,7 @@ mod tests {
         let paths = vec![Path::new(vec![g]).unwrap()];
         let dec = decompose_into_segments(&paths).unwrap();
         let model = VariationModel::three_level();
-        let dm = DelayModel::build(&circuit, &paths, &dec, &model).unwrap();
+        let dm = DelayModel::build(&circuit, &paths, &dec, &model).unwrap().to_dense();
         // Row of A for the single path: variance = Σ a_j².
         let var: f64 = dm.a().row(0).iter().map(|a| a * a).sum();
         let t = circuit.library().timing(CellKind::Nand2);
@@ -415,8 +448,7 @@ mod tests {
 
     #[test]
     fn wrong_x_length_rejected() {
-        let (c, paths, dec) = figure1_model();
-        let dm = DelayModel::build(&c, &paths, &dec, &VariationModel::three_level()).unwrap();
+        let (.., dm) = figure1_dense();
         assert!(dm.path_delays(&[0.0; 3]).is_err());
     }
 }

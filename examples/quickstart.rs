@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // --- Linear delay model d = µ + A·x under the 3-level variation model ---
     let model = VariationModel::three_level();
-    let dm = DelayModel::build(&circuit, &paths, &dec, &model)?;
+    let dm = DelayModel::build(&circuit, &paths, &dec, &model)?.to_dense();
     println!(
         "variation dimension |x| = {} (2 params × regions + per-gate randoms)",
         dm.variable_count()

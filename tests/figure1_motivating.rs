@@ -50,7 +50,7 @@ fn three_paths_predict_the_fourth_exactly() {
     let dec = decompose_into_segments(&paths).unwrap();
     assert_eq!(dec.segment_count(), 4);
     let model = VariationModel::three_level();
-    let dm = DelayModel::build(&circuit, &paths, &dec, &model).unwrap();
+    let dm = DelayModel::build(&circuit, &paths, &dec, &model).unwrap().to_dense();
 
     let sel = exact_select(dm.a(), dm.mu_paths(), DEFAULT_KAPPA).unwrap();
     assert_eq!(sel.rank, 3, "Figure 1's A has rank 3");
@@ -76,7 +76,7 @@ fn rank_is_bounded_by_segment_count() {
     let (circuit, paths) = figure1();
     let dec = decompose_into_segments(&paths).unwrap();
     let model = VariationModel::three_level();
-    let dm = DelayModel::build(&circuit, &paths, &dec, &model).unwrap();
+    let dm = DelayModel::build(&circuit, &paths, &dec, &model).unwrap().to_dense();
     let svd = pathrep::linalg::svd::Svd::compute(dm.a()).unwrap();
     assert!(svd.rank(1e-9) <= dec.segment_count());
 }

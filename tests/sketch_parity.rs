@@ -13,7 +13,7 @@ use pathrep::core::sketch::{sketch_approx_select, sketch_exact_select, SketchApp
 use pathrep::eval::pipeline::{prepare, PipelineConfig};
 use pathrep::eval::suite::BenchmarkSpec;
 use pathrep::linalg::sketch::SketchConfig;
-use pathrep::ssta::SparseDelayModel;
+use pathrep::variation::sensitivity::DelayModel;
 use std::collections::BTreeSet;
 
 const EPSILON: f64 = 0.05;
@@ -47,10 +47,10 @@ fn sketched_pipeline_matches_dense_on_gate_instance() {
     };
     let pb = prepare(&spec, &config).expect("gate instance prepares");
     let dense = &pb.delay_model;
-    let sparse = SparseDelayModel::build(&pb.circuit, &pb.paths, &pb.decomposition, &pb.model)
-        .expect("sparse assembly succeeds on the gate instance");
+    let sparse = DelayModel::build(&pb.circuit, &pb.paths, &pb.decomposition, &pb.model)
+        .expect("CSR assembly succeeds on the gate instance");
 
-    // CSR assembly shares the dense builder's accumulation order: exact.
+    // The prepared dense model is the dense view of the same assembly.
     let da = dense.a();
     let sa = sparse.a().to_dense();
     let max_assembly_diff = da
@@ -59,7 +59,7 @@ fn sketched_pipeline_matches_dense_on_gate_instance() {
         .zip(sa.as_slice())
         .map(|(x, y)| (x - y).abs())
         .fold(0.0f64, f64::max);
-    assert_eq!(max_assembly_diff, 0.0, "CSR assembly diverges from the dense builder");
+    assert_eq!(max_assembly_diff, 0.0, "prepared dense A diverges from the CSR assembly");
 
     // Full-width sketch: no spectral energy lost, same numerical rank.
     let sketch = SketchConfig {
