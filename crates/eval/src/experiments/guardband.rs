@@ -9,7 +9,7 @@
 //! and reports how decisive the band is.
 
 use crate::experiments::ExperimentError;
-use crate::metrics::McConfig;
+use crate::metrics::{BlockKernel, McConfig, MeasurementPlan};
 use crate::pipeline::{prepare, PipelineConfig};
 use crate::report::{pct, Table};
 use crate::suite::{BenchmarkSpec, Suite};
@@ -92,21 +92,24 @@ pub fn run_one(
     };
     let max_band = bands.iter().fold(0.0_f64, |m, &b| m.max(b));
 
-    // Monte-Carlo verdict validation.
+    // Monte-Carlo verdict validation: one sample stream, scored in
+    // blocks by the evaluation harness's kernel.
     let mut outcome = GuardBandOutcome::default();
     let mut sampler = VariationSampler::new(dm.variable_count(), opts.mc.seed);
-    for _ in 0..opts.mc.n_samples {
-        let x = sampler.draw();
-        let d_all = dm.path_delays(&x).map_err(ExperimentError::new)?;
-        let measured: Vec<f64> = approx.selected.iter().map(|&i| d_all[i]).collect();
-        let pred = approx
-            .predictor
-            .predict(&measured)
-            .map_err(ExperimentError::new)?;
-        for (k, &path) in approx.remaining.iter().enumerate() {
-            outcome.record(pred[k], d_all[path], bands[k], pb.t_cons);
-        }
-    }
+    let plan = MeasurementPlan::Paths {
+        selected: &approx.selected,
+        predictor: &approx.predictor,
+    };
+    BlockKernel::new(dm, &plan)
+        .run(&mut sampler, opts.mc.n_samples, |d, predicted| {
+            for j in 0..predicted.nrows() {
+                let pred = predicted.row(j);
+                for (k, &path) in approx.remaining.iter().enumerate() {
+                    outcome.record(pred[k], d[(path, j)], bands[k], pb.t_cons);
+                }
+            }
+        })
+        .map_err(ExperimentError::new)?;
     pathrep_obs::ledger::record("eval", "guardband", |f| {
         f.num("epsilon", opts.epsilon)
             .num("t_cons", pb.t_cons)

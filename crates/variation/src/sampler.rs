@@ -42,13 +42,20 @@ impl VariationSampler {
     /// Draws the next variation vector.
     pub fn draw(&mut self) -> Vec<f64> {
         let mut x = vec![0.0; self.dim];
-        gauss::fill_standard_normal(&mut self.rng, &mut x);
+        self.draw_into(&mut x);
         x
     }
 
-    /// Draws `n` vectors as rows of a flat buffer (`n × dim`, row-major).
-    pub fn draw_many(&mut self, n: usize) -> Vec<Vec<f64>> {
-        (0..n).map(|_| self.draw()).collect()
+    /// Draws the next variation vector into `out`, consuming the stream
+    /// exactly as [`VariationSampler::draw`] does — so interleaving the
+    /// two yields the same sequence of vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.dim()`.
+    pub fn draw_into(&mut self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim, "draw_into buffer must have length dim");
+        gauss::fill_standard_normal(&mut self.rng, out);
     }
 }
 
@@ -61,7 +68,18 @@ mod tests {
         let mut a = VariationSampler::new(5, 1);
         let mut b = VariationSampler::new(5, 1);
         assert_eq!(a.draw(), b.draw());
-        assert_eq!(a.draw_many(3), b.draw_many(3));
+    }
+
+    #[test]
+    fn draw_into_stream_equals_draw_stream() {
+        let mut a = VariationSampler::new(7, 13);
+        let mut b = VariationSampler::new(7, 13);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut buf = vec![0.0; 7];
+        for _ in 0..50 {
+            b.draw_into(&mut buf);
+            assert_eq!(bits(&a.draw()), bits(&buf));
+        }
     }
 
     #[test]

@@ -10,6 +10,10 @@
 # byte-compared against each other: the pathrep-par kernels must produce
 # bit-identical numbers at every worker count.
 #
+# Finally `table2 --fast` and `guardband` rerun and must reproduce the
+# committed results/table2_fast.txt and results/guardband.txt byte for
+# byte (~8 s together).
+#
 # Usage: scripts/accuracy_gate.sh [--self-test] [extra pathrep-doctor flags…]
 #   --self-test  inject a synthetic rank-drop regression and require the
 #                gate to FAIL (proves the gate trips).
@@ -33,6 +37,7 @@ done
 
 cargo build --release --example quickstart
 cargo build --release -p pathrep-bench --bin pathrep-doctor
+cargo build --release -p pathrep-eval --bin table2 --bin guardband
 
 if [ ! -f "$GOLDEN" ]; then
     echo "accuracy_gate.sh: no golden ledger — seeding $GOLDEN"
@@ -93,3 +98,14 @@ fi
     ${doctor_flags[@]+"${doctor_flags[@]}"}
 ./target/release/pathrep-doctor "$GOLDEN" --diff "$CANDIDATE_T4" \
     ${doctor_flags[@]+"${doctor_flags[@]}"}
+
+for run in "table2 --fast:table2_fast" "guardband:guardband"; do
+    cmd="${run%%:*}"
+    recorded="results/${run##*:}.txt"
+    # shellcheck disable=SC2086 # $cmd is a binary name plus its flags
+    if ! diff -u "$recorded" <(./target/release/$cmd); then
+        echo "accuracy_gate.sh: FAIL — \`$cmd\` no longer reproduces $recorded" >&2
+        exit 1
+    fi
+done
+echo "accuracy_gate.sh: recorded results OK (table2 --fast and guardband reproduce results/)"

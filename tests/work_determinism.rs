@@ -95,7 +95,7 @@ fn every_instrumented_kernel_reports_work() {
             depth: None,
         };
         // prepare() exercises extract_paths, circuit_yield_mc,
-        // decompose_segments, delay_model_build, and matmul/matvec.
+        // decompose_segments, delay_model_build and spmm (`G·Σ`).
         let pb = prepare(&spec, &PipelineConfig::default()).expect("pipeline prepares");
         let dm = &pb.delay_model;
         let sel = approx_select(dm.a(), dm.mu_paths(), &ApproxConfig::new(0.05, pb.t_cons))
@@ -109,9 +109,12 @@ fn every_instrumented_kernel_reports_work() {
             seed: 7,
             threads: 0,
         };
+        // MC scores its samples as sparse block products (spmm).
         evaluate(dm, &plan, &sel.remaining, &mc).expect("MC evaluation succeeds");
         // Direct kernels not guaranteed on the pipeline path.
         let a = test_matrix(20, 12, 0.4);
+        let x: Vec<f64> = (0..12).map(|k| (k as f64 * 0.7).sin()).collect();
+        let _ = a.matvec(&x).unwrap();
         let _ = Qr::compute_pivoted(&a).unwrap();
         let _ = Svd::compute(&a).unwrap();
         let n = 12;
@@ -129,6 +132,7 @@ fn every_instrumented_kernel_reports_work() {
     for kernel in [
         "matmul",
         "matvec",
+        "spmm",
         "qr_factor",
         "svd",
         "cholesky",
