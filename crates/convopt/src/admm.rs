@@ -1,5 +1,6 @@
 //! ADMM solvers for the `ℓ1/ℓ∞` simultaneous segment-selection program.
 
+use crate::operator::SpanOperator;
 use crate::project::{project_rows_into_ball, EllipsoidProjector};
 use crate::prox::{group_linf_norm, prox_group_linf};
 use crate::ConvoptError;
@@ -23,12 +24,13 @@ pub struct GroupSelectProblem {
 }
 
 impl GroupSelectProblem {
-    /// Validates dimensions.
+    /// Validates dimensions and values.
     ///
     /// # Errors
     ///
-    /// Returns [`ConvoptError::Shape`] / [`ConvoptError::InvalidArgument`]
-    /// for inconsistent inputs.
+    /// Returns [`ConvoptError::Shape`] for inconsistent dimensions and
+    /// [`ConvoptError::InvalidArgument`] for a non-finite or non-positive
+    /// radius or a non-finite entry of `g_target` or `sigma`.
     pub fn validate(&self) -> Result<(), ConvoptError> {
         if self.g_target.ncols() != self.sigma.nrows() {
             return Err(ConvoptError::Shape {
@@ -41,9 +43,19 @@ impl GroupSelectProblem {
                 ),
             });
         }
-        if self.radius <= 0.0 {
+        if !(self.radius.is_finite() && self.radius > 0.0) {
             return Err(ConvoptError::InvalidArgument {
-                what: "radius must be positive",
+                what: "radius must be finite and positive",
+            });
+        }
+        if !self.g_target.as_slice().iter().all(|v| v.is_finite()) {
+            return Err(ConvoptError::InvalidArgument {
+                what: "G_target entries must be finite",
+            });
+        }
+        if !self.sigma.as_slice().iter().all(|v| v.is_finite()) {
+            return Err(ConvoptError::InvalidArgument {
+                what: "Sigma entries must be finite",
             });
         }
         Ok(())
@@ -85,6 +97,22 @@ pub struct AdmmConfig {
     /// A column is *selected* when its `ℓ∞` norm exceeds this fraction of
     /// the largest column norm.
     pub selection_threshold: f64,
+}
+
+impl AdmmConfig {
+    fn validate(&self) -> Result<(), ConvoptError> {
+        if !(self.rho.is_finite() && self.rho > 0.0) {
+            return Err(ConvoptError::InvalidArgument {
+                what: "rho must be finite and positive",
+            });
+        }
+        if !(0.0..1.0).contains(&self.selection_threshold) {
+            return Err(ConvoptError::InvalidArgument {
+                what: "selection_threshold must lie in [0, 1)",
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for AdmmConfig {
@@ -199,44 +227,54 @@ fn operator_norm_sq(sigma: &Matrix) -> f64 {
 ///
 /// # Errors
 ///
-/// * Validation errors from [`GroupSelectProblem::validate`].
-/// * [`ConvoptError::NoConvergence`] carrying the final residuals.
+/// * Validation errors from [`GroupSelectProblem::validate`], and
+///   [`ConvoptError::InvalidArgument`] for a `rho` that is not finite and
+///   positive or a `selection_threshold` outside `[0, 1)`.
+/// * [`ConvoptError::Linalg`] if the Cholesky factor of `ΣΣᵀ` fails.
+///
+/// Running out of iterations is not an error: the final iterate comes back
+/// with `converged: false`.
 pub fn solve_linearized_admm(
     problem: &GroupSelectProblem,
     config: &AdmmConfig,
 ) -> Result<GroupSelectSolution, ConvoptError> {
     let _span = pathrep_obs::span!("admm_linearized");
     problem.validate()?;
+    config.validate()?;
     let g = &problem.g_target;
     // The constraint only sees Σ through Q = ΣΣᵀ, so when the variable
     // space is wider than the segment count, replace Σ by a Cholesky
     // factor of Q (n_S × n_S) — identical problem, much cheaper iterations.
-    let compressed;
-    let sigma_eff: &Matrix = if problem.sigma.ncols() > problem.sigma.nrows() {
+    let mut f = if problem.sigma.ncols() > problem.sigma.nrows() {
         let q = problem.sigma.matmul(&problem.sigma.transpose())?;
         let ns = q.nrows();
         let mean_diag = (0..ns).map(|i| q[(i, i)].abs()).sum::<f64>() / ns.max(1) as f64;
         let ch = Cholesky::compute_with_jitter(&q, 1e-12 * mean_diag.max(1e-30), 8)
             .map_err(ConvoptError::Linalg)?;
-        compressed = ch.l().clone();
-        &compressed
+        ch.l().clone()
     } else {
-        &problem.sigma
+        problem.sigma.clone()
     };
     // Normalize the operator to unit spectral norm so the linearized prox
     // step is O(1/ρ) regardless of the physical units of Σ (ps). The
     // constraint is invariant: ‖(g−b)Σ‖ ≤ r  ⟺  ‖(g−b)(Σ/s)‖ ≤ r/s.
-    let raw_norm = operator_norm_sq(sigma_eff).sqrt();
+    let raw_norm = operator_norm_sq(&f).sqrt();
     let scale = if raw_norm > 0.0 { raw_norm } else { 1.0 };
-    let sigma = &sigma_eff.scale(1.0 / scale);
-    let radius = problem.radius / scale;
-    let c = g.matmul(sigma)?;
+    let inv_scale = 1.0 / scale;
+    f.as_mut_slice().iter_mut().for_each(|v| *v *= inv_scale);
     let (r1, ns) = g.shape();
-    let nx = sigma.ncols();
+    let nx = f.ncols();
+    // Every product below is against this one operator or its transpose,
+    // restricted to each row's non-zero span (see `SpanOperator`).
+    let sigma = SpanOperator::new(f);
+    let radius = problem.radius / scale;
+    let c = sigma.apply(g);
     let rho = config.rho;
     let lcap = 1.05; // spectral norm of the normalized operator
 
     let mut b = Matrix::zeros(r1, ns);
+    // B·Σ of the current iterate (B = 0), carried over from each dual update.
+    let mut bs = Matrix::zeros(r1, nx);
     let mut e = project_rows_into_ball(&c, None, radius);
     let mut u = Matrix::zeros(r1, nx);
     let mut primal = f64::INFINITY;
@@ -258,28 +296,28 @@ pub fn solve_linearized_admm(
     let mut iterations = 0;
     for k in 0..config.max_iters {
         iterations = k + 1;
-        let bs = b.matmul(sigma)?;
         // E-step: project rows of (C − BΣ − U) onto the ball.
         let target = c.sub(&bs)?.sub(&u)?;
         let e_new = project_rows_into_ball(&target, None, radius);
         // B-step: linearized prox step.
         let resid = bs.add(&e_new)?.sub(&c)?.add(&u)?;
-        let grad = resid.matmul(&sigma.transpose())?;
+        let grad = sigma.apply_t(&resid);
         let b_cand = b.sub(&grad.scale(1.0 / lcap))?;
         let b_new = prox_group_linf(&b_cand, 1.0 / (rho * lcap));
         // Dual update.
-        let bs_new = b_new.matmul(sigma)?;
+        let bs_new = sigma.apply(&b_new);
         let r = bs_new.add(&e_new)?.sub(&c)?;
         u = u.add(&r)?;
         // Residuals.
         primal = r.norm_fro() / scale_primal.sqrt();
-        dual = rho * e_new.sub(&e)?.matmul(&sigma.transpose())?.norm_fro() / scale_dual.sqrt();
+        dual = rho * sigma.apply_t(&e_new.sub(&e)?).norm_fro() / scale_dual.sqrt();
         pathrep_obs::counter_add("convopt.admm.iterations", 1);
         pathrep_obs::histogram_record("convopt.admm.primal_residual", primal);
         pathrep_obs::histogram_record("convopt.admm.dual_residual", dual);
         primal_curve.push(primal);
         dual_curve.push(dual);
         b = b_new;
+        bs = bs_new;
         e = e_new;
         let support_size = select_columns(&b, config.selection_threshold).len();
         if support_size == last_support_size {
@@ -315,8 +353,8 @@ pub fn solve_linearized_admm(
                 return Ok(sol);
             }
         }
-        let eps_primal =
-            config.tol_abs + config.tol_rel * (bs_new.norm_fro().max(c.norm_fro())) / scale_primal.sqrt();
+        let eps_primal = config.tol_abs
+            + config.tol_rel * (bs.norm_fro().max(c.norm_fro())) / scale_primal.sqrt();
         let eps_dual = config.tol_abs + config.tol_rel * u.norm_fro() * rho / scale_dual.sqrt();
         if primal < eps_primal && dual < eps_dual {
             let worst = problem.worst_row_std(&b)?;
@@ -373,14 +411,20 @@ pub fn solve_linearized_admm(
 ///
 /// # Errors
 ///
-/// * Validation errors from [`GroupSelectProblem::validate`].
-/// * [`ConvoptError::NoConvergence`] carrying the final residuals.
+/// * Validation errors from [`GroupSelectProblem::validate`], and
+///   [`ConvoptError::InvalidArgument`] for a `rho` that is not finite and
+///   positive or a `selection_threshold` outside `[0, 1)`.
+/// * [`ConvoptError::Linalg`] if the eigendecomposition of `ΣΣᵀ` fails.
+///
+/// Running out of iterations is not an error: the final iterate comes back
+/// with `converged: false`.
 pub fn solve_ellipsoid_admm(
     problem: &GroupSelectProblem,
     config: &AdmmConfig,
 ) -> Result<GroupSelectSolution, ConvoptError> {
     let _span = pathrep_obs::span!("admm_ellipsoid");
     problem.validate()?;
+    config.validate()?;
     let g = &problem.g_target;
     let sigma = &problem.sigma;
     let (r1, ns) = g.shape();
@@ -502,6 +546,61 @@ mod tests {
             radius: 1.0,
         };
         assert!(bad.validate().is_err());
+    }
+
+    /// Both solvers must refuse `p` under `config` with `InvalidArgument`.
+    fn assert_both_reject(p: &GroupSelectProblem, config: &AdmmConfig) {
+        for result in [
+            solve_linearized_admm(p, config),
+            solve_ellipsoid_admm(p, config),
+        ] {
+            assert!(
+                matches!(result, Err(ConvoptError::InvalidArgument { .. })),
+                "accepted {config:?} with radius {}",
+                p.radius
+            );
+        }
+    }
+
+    #[test]
+    fn solvers_reject_non_finite_or_non_positive_radius() {
+        for radius in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            assert_both_reject(&toy_problem(radius), &AdmmConfig::default());
+        }
+    }
+
+    #[test]
+    fn solvers_reject_non_finite_problem_entries() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut p = toy_problem(1.0);
+            p.g_target[(1, 2)] = bad;
+            assert_both_reject(&p, &AdmmConfig::default());
+            let mut p = toy_problem(1.0);
+            p.sigma[(2, 2)] = bad;
+            assert_both_reject(&p, &AdmmConfig::default());
+        }
+    }
+
+    #[test]
+    fn solvers_reject_non_finite_or_non_positive_rho() {
+        for rho in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = AdmmConfig {
+                rho,
+                ..AdmmConfig::default()
+            };
+            assert_both_reject(&toy_problem(1.0), &config);
+        }
+    }
+
+    #[test]
+    fn solvers_reject_selection_threshold_outside_unit_interval() {
+        for selection_threshold in [-0.1, 1.0, 2.0, f64::NAN] {
+            let config = AdmmConfig {
+                selection_threshold,
+                ..AdmmConfig::default()
+            };
+            assert_both_reject(&toy_problem(1.0), &config);
+        }
     }
 
     #[test]

@@ -18,16 +18,6 @@ pub enum ConvoptError {
     },
     /// An underlying matrix routine failed.
     Linalg(LinalgError),
-    /// The solver did not converge within its iteration budget. Carries the
-    /// last iterate's residuals so callers can decide whether to accept it.
-    NoConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Final primal residual.
-        primal_residual: f64,
-        /// Final dual residual.
-        dual_residual: f64,
-    },
 }
 
 impl fmt::Display for ConvoptError {
@@ -36,15 +26,6 @@ impl fmt::Display for ConvoptError {
             ConvoptError::Shape { what } => write!(f, "inconsistent problem shape: {what}"),
             ConvoptError::InvalidArgument { what } => write!(f, "invalid argument: {what}"),
             ConvoptError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
-            ConvoptError::NoConvergence {
-                iterations,
-                primal_residual,
-                dual_residual,
-            } => write!(
-                f,
-                "ADMM did not converge after {iterations} iterations \
-                 (primal residual {primal_residual:.3e}, dual residual {dual_residual:.3e})"
-            ),
         }
     }
 }
@@ -60,18 +41,6 @@ impl From<LinalgError> for ConvoptError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_is_informative() {
-        let e = ConvoptError::NoConvergence {
-            iterations: 100,
-            primal_residual: 1e-3,
-            dual_residual: 2e-4,
-        };
-        let s = e.to_string();
-        assert!(s.contains("100"));
-        assert!(s.contains("1.000e-3"));
-    }
 
     #[test]
     fn from_linalg() {

@@ -27,6 +27,7 @@
 
 pub mod admm;
 pub mod error;
+mod operator;
 pub mod project;
 pub mod prox;
 

@@ -9,6 +9,7 @@
 //! refactor that silently drops a `work::record` call fails here instead
 //! of producing quietly incomplete attributions.
 
+use pathrep::convopt::{solve_linearized_admm, AdmmConfig, GroupSelectProblem};
 use pathrep::core::approx::{approx_select, ApproxConfig};
 use pathrep::eval::metrics::{evaluate, McConfig, MeasurementPlan};
 use pathrep::eval::pipeline::{prepare, PipelineConfig};
@@ -49,7 +50,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Work totals are invariant across worker counts and repetition for a
-    /// matmul + pivoted-QR + SVD workload of property-chosen shape.
+    /// matmul + pivoted-QR + SVD + compressed-ADMM workload of
+    /// property-chosen shape.
     #[test]
     fn work_counters_are_thread_count_invariant(
         m in 8usize..24,
@@ -62,6 +64,18 @@ proptest! {
             let _ = a.matmul(&b).unwrap();
             let _ = Qr::compute_pivoted(&a).unwrap();
             let _ = Svd::compute(&a).unwrap();
+            // |x| > n_S: the solver iterates on the Cholesky factor of ΣΣᵀ
+            // and records its span-restricted products as `matmul` work.
+            let problem = GroupSelectProblem {
+                g_target: Matrix::from_fn(m, n, |i, j| if (i + 2 * j) % 3 == 0 { 1.0 } else { 0.0 }),
+                sigma: test_matrix(n, n + 5, phase + 3.0),
+                radius: 1.0,
+            };
+            let config = AdmmConfig {
+                max_iters: 20,
+                ..AdmmConfig::default()
+            };
+            let _ = solve_linearized_admm(&problem, &config).unwrap();
         };
         let _guard = LOCK.lock().unwrap();
         pathrep::par::set_threads(1);
