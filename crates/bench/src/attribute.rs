@@ -10,7 +10,7 @@
 //! cancel to GFLOP/s) on both sides, separating "the kernel did more
 //! work" from "the kernel got slower at the same work".
 //!
-//! Used by `perf_gate --attribute` and `pathrep-doctor --perf-diff`.
+//! Used by `pathrep-doctor --perf-diff`.
 
 use crate::gate::{BenchReport, WorkloadResult};
 use pathrep_obs::selftime::leaf_of;
@@ -309,9 +309,8 @@ mod tests {
 
     #[test]
     fn injected_slowdown_on_new_span_renders_na_annotation() {
-        // The `--inject-slowdown w:span` self-test shape, against a
-        // baseline that predates the span: the kernel exists only in the
-        // current profile, with its work counter. The annotation must read
+        // A slowed-down span against a baseline that predates it: the
+        // kernel exists only in the current profile, with its work counter. The annotation must read
         // `n/a -> X`, not silently vanish (the pre-fix behavior).
         let base = workload("w", 10.0, vec![entry("sel", 500_000)]);
         let mut cur = workload(

@@ -1,56 +1,52 @@
 //! The perf-regression gate runner.
 //!
 //! Runs the calibrated workload matrix (see `pathrep_bench::workloads`),
-//! writes the next-numbered `BENCH_<k>.json` at the repo root, and — when
+//! writes the report to `--out PATH` (default: the next-numbered
+//! `BENCH_<k>.json` at the repo root), and — when
 //! `--baseline <path>` is given — diffs p50 wall times per workload
 //! against that baseline, printing a comparison table and exiting
-//! non-zero if any workload regressed beyond the threshold.
+//! non-zero if any sequential workload regressed beyond [`THRESHOLD`].
 //!
 //! ```text
-//! perf_gate [--baseline BENCH_1.json] [--repeat N] [--threshold PCT]
-//!           [--out PATH] [--inject-slowdown WORKLOAD[:SPANPATH]]
-//!           [--par-threads N] [--attribute]
+//! perf_gate [--baseline BENCH_1.json] [--out PATH]
+//!           [--inject-slowdown WORKLOAD] [--only NAME[,NAME…]]
+//!           [--include-large]
 //! ```
 //!
 //! `--inject-slowdown` doubles the recorded wall times of one workload
 //! after measurement — a self-test hook proving the gate actually trips
 //! (`perf_gate --baseline BENCH_1.json --inject-slowdown exact_small`
-//! must exit 1). With a `:SPANPATH` suffix it also doubles the self-time
-//! of that span subtree in the workload's profile, so
-//! `--inject-slowdown exact_medium:exact_select/qr_factor --attribute`
-//! must name exactly that span as the top Δself-time contributor — the
-//! attribution plane's self-test.
+//! must exit 1). `pathrep-doctor --perf-diff A B` attributes a wall-time
+//! change between two reports to spans.
 //!
-//! `--attribute` adds a differential attribution section to the baseline
-//! diff: per changed workload, the spans ranked by self-time delta with
-//! achieved-GFLOP/s annotations (see `pathrep_bench::attribute`).
-//!
-//! `--par-threads N` (default 4) adds a second measurement axis: after the
-//! sequential pass (pathrep-par pinned to 1 worker, recorded under the
-//! original workload names and gated against the baseline), the matrix
-//! runs again with `N` workers, recorded as `{name}@t{N}` rows —
-//! informational for the wall-time gate, but the operation counters of the
-//! two axes must match *exactly*: a counter that moves with the worker
-//! count means a kernel's work depends on scheduling, which breaks the
-//! bit-determinism contract, and the gate hard-fails.
+//! Each workload runs [`REPEAT`] times. After the sequential pass
+//! (pathrep-par pinned to 1 worker, recorded under the original workload
+//! names and gated against the baseline), the matrix runs again with
+//! [`PAR_THREADS`] workers, recorded as `{name}@t4` rows — informational
+//! for the wall-time gate, but the operation counters of the two axes must
+//! match *exactly*: a counter that moves with the worker count means a
+//! kernel's work depends on scheduling, which breaks the bit-determinism
+//! contract, and the gate hard-fails.
 
-use pathrep_bench::attribute::{attribute_reports, render_attribution};
 use pathrep_bench::gate::{
     assess_env, diff, environment_fingerprint, has_regression, render_diff, render_env_diff,
-    BenchReport, DEFAULT_THRESHOLD, SCHEMA_VERSION,
+    BenchReport, SCHEMA_VERSION, THRESHOLD,
 };
 use pathrep_bench::workloads::{large_workload_matrix, measure, workload_matrix};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Timed repeats per workload and axis.
+const REPEAT: usize = 5;
+
+/// Worker count of the thread axis; the `@t4` row names in committed
+/// baselines depend on it.
+const PAR_THREADS: usize = 4;
+
 struct Args {
     baseline: Option<String>,
-    repeat: usize,
-    threshold: f64,
     out: Option<String>,
     inject_slowdown: Option<String>,
-    par_threads: usize,
-    attribute: bool,
     only: Option<Vec<String>>,
     include_large: bool,
 }
@@ -58,12 +54,8 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         baseline: None,
-        repeat: 5,
-        threshold: DEFAULT_THRESHOLD,
         out: None,
         inject_slowdown: None,
-        par_threads: 4,
-        attribute: false,
         only: None,
         include_large: false,
     };
@@ -77,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
             "--baseline" => args.baseline = Some(value("--baseline")?),
             "--out" => args.out = Some(value("--out")?),
             "--inject-slowdown" => args.inject_slowdown = Some(value("--inject-slowdown")?),
-            "--attribute" => args.attribute = true,
             "--include-large" => args.include_large = true,
             "--only" => {
                 let names: Vec<String> = value("--only")?
@@ -90,34 +81,10 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.only.get_or_insert_with(Vec::new).extend(names);
             }
-            "--repeat" => {
-                args.repeat = value("--repeat")?
-                    .parse()
-                    .map_err(|e| format!("--repeat: {e}"))?;
-            }
-            "--par-threads" => {
-                args.par_threads = value("--par-threads")?
-                    .parse()
-                    .map_err(|e| format!("--par-threads: {e}"))?;
-                if args.par_threads == 0 {
-                    return Err("--par-threads must be at least 1".into());
-                }
-            }
-            "--threshold" => {
-                let pct: f64 = value("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                if !(pct > 0.0) {
-                    return Err("--threshold must be a positive percentage".into());
-                }
-                args.threshold = pct / 100.0;
-            }
             "--help" | "-h" => {
                 println!(
-                    "perf_gate [--baseline BENCH_k.json] [--repeat N] \
-                     [--threshold PCT] [--out PATH] \
-                     [--inject-slowdown WORKLOAD[:SPANPATH]] \
-                     [--par-threads N] [--attribute] \
+                    "perf_gate [--baseline BENCH_k.json] [--out PATH] \
+                     [--inject-slowdown WORKLOAD] \
                      [--include-large] [--only NAME[,NAME…]]"
                 );
                 std::process::exit(0);
@@ -211,113 +178,80 @@ fn main() -> ExitCode {
         workloads.retain(|w| only.iter().any(|n| n == w.name));
     }
     eprintln!(
-        "perf_gate: measuring {} workloads × {} repeats (1 worker)…",
+        "perf_gate: measuring {} workloads × {REPEAT} repeats (1 worker)…",
         workloads.len(),
-        args.repeat
     );
     pathrep_par::set_threads(1);
-    let mut results = measure(&workloads, args.repeat);
+    let mut results = measure(&workloads, REPEAT);
 
-    if args.par_threads > 1 {
-        eprintln!(
-            "perf_gate: measuring thread axis ({} workers)…",
-            args.par_threads
-        );
-        pathrep_par::set_threads(args.par_threads);
-        let threaded = measure(&workloads, args.repeat);
-        pathrep_par::set_threads(0);
+    eprintln!("perf_gate: measuring thread axis ({PAR_THREADS} workers)…");
+    pathrep_par::set_threads(PAR_THREADS);
+    let threaded = measure(&workloads, REPEAT);
+    pathrep_par::set_threads(0);
 
-        // Determinism cross-check: identical seeds at a different worker
-        // count must do identical work. Any counter drift is a scheduling
-        // dependence in a kernel — a hard failure, not a perf question.
-        let mut counter_mismatch = false;
+    // Determinism cross-check: identical seeds at a different worker
+    // count must do identical work. Any counter drift is a scheduling
+    // dependence in a kernel — a hard failure, not a perf question.
+    let mut counter_mismatch = false;
+    println!(
+        "\nperf_gate: thread axis t1 → t{PAR_THREADS} (wall-time informational, \
+         counters must match):"
+    );
+    println!(
+        "  {:<20} {:>12} {:>12} {:>9}",
+        "workload", "t1 p50", format!("t{PAR_THREADS} p50"), "speedup"
+    );
+    for (seq, par) in results.iter().zip(threaded.iter()) {
+        let speedup = if par.p50_ms > 0.0 {
+            seq.p50_ms / par.p50_ms
+        } else {
+            1.0
+        };
         println!(
-            "\nperf_gate: thread axis t1 → t{} (wall-time informational, \
-             counters must match):",
-            args.par_threads
+            "  {:<20} {:>9.2} ms {:>9.2} ms {:>8.2}×",
+            seq.name, seq.p50_ms, par.p50_ms, speedup
         );
-        println!(
-            "  {:<20} {:>12} {:>12} {:>9}",
-            "workload", "t1 p50", "t-N p50", "speedup"
-        );
-        for (seq, par) in results.iter().zip(threaded.iter()) {
-            let speedup = if par.p50_ms > 0.0 {
-                seq.p50_ms / par.p50_ms
-            } else {
-                1.0
-            };
-            println!(
-                "  {:<20} {:>9.2} ms {:>9.2} ms {:>8.2}×",
-                seq.name, seq.p50_ms, par.p50_ms, speedup
+        if seq.counters != par.counters {
+            counter_mismatch = true;
+            eprintln!(
+                "perf_gate: FAIL — workload `{}` counters differ between \
+                 1 and {PAR_THREADS} workers:",
+                seq.name
             );
-            if seq.counters != par.counters {
-                counter_mismatch = true;
-                eprintln!(
-                    "perf_gate: FAIL — workload `{}` counters differ between \
-                     1 and {} workers:",
-                    seq.name, args.par_threads
-                );
-                for (k, v1) in &seq.counters {
-                    let vn = par.counters.get(k).copied().unwrap_or(0);
-                    if *v1 != vn {
-                        eprintln!("  counter {k}: t1 {v1} → t{} {vn}", args.par_threads);
-                    }
+            for (k, v1) in &seq.counters {
+                let vn = par.counters.get(k).copied().unwrap_or(0);
+                if *v1 != vn {
+                    eprintln!("  counter {k}: t1 {v1} → t{PAR_THREADS} {vn}");
                 }
-                for (k, vn) in &par.counters {
-                    if !seq.counters.contains_key(k) {
-                        eprintln!("  counter {k}: t1 0 → t{} {vn}", args.par_threads);
-                    }
+            }
+            for (k, vn) in &par.counters {
+                if !seq.counters.contains_key(k) {
+                    eprintln!("  counter {k}: t1 0 → t{PAR_THREADS} {vn}");
                 }
             }
         }
-        if counter_mismatch {
-            eprintln!(
-                "perf_gate: FAIL — operation counters depend on the worker \
-                 count; a kernel broke the determinism contract"
-            );
-            return ExitCode::FAILURE;
-        }
-        results.extend(threaded.into_iter().map(|mut r| {
-            r.name = format!("{}@t{}", r.name, args.par_threads);
-            r
-        }));
     }
+    if counter_mismatch {
+        eprintln!(
+            "perf_gate: FAIL — operation counters depend on the worker \
+             count; a kernel broke the determinism contract"
+        );
+        return ExitCode::FAILURE;
+    }
+    results.extend(threaded.into_iter().map(|mut r| {
+        r.name = format!("{}@t{PAR_THREADS}", r.name);
+        r
+    }));
 
     if let Some(victim) = &args.inject_slowdown {
-        let (wl_name, span_path) = match victim.split_once(':') {
-            Some((w, s)) => (w, Some(s)),
-            None => (victim.as_str(), None),
+        let Some(r) = results.iter_mut().find(|r| r.name == *victim) else {
+            eprintln!("perf_gate: --inject-slowdown: no workload named `{victim}`");
+            return ExitCode::from(2);
         };
-        match results.iter_mut().find(|r| r.name == wl_name) {
-            Some(r) => {
-                eprintln!("perf_gate: injecting 2× slowdown into `{victim}` (self-test)");
-                r.p50_ms *= 2.0;
-                r.p95_ms *= 2.0;
-                if let Some(span) = span_path {
-                    // Double the injected span subtree's recorded time so
-                    // attribution must finger it.
-                    let mut hits = 0;
-                    for e in &mut r.profile {
-                        if e.path == span || e.path.starts_with(&format!("{span}/")) {
-                            e.self_ns *= 2;
-                            e.total_ns *= 2;
-                            hits += 1;
-                        }
-                    }
-                    if hits == 0 {
-                        eprintln!(
-                            "perf_gate: --inject-slowdown: no span path `{span}` in \
-                             workload `{wl_name}`'s profile"
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            None => {
-                eprintln!("perf_gate: --inject-slowdown: no workload named `{wl_name}`");
-                return ExitCode::from(2);
-            }
-        }
+        eprintln!("perf_gate: injecting 2× slowdown into `{victim}` (self-test)");
+        r.p50_ms *= 2.0;
+        r.p95_ms *= 2.0;
+        r.p999_ms = r.p999_ms.map(|v| v * 2.0);
     }
 
     let report = BenchReport {
@@ -362,12 +296,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let rows = diff(&baseline, &report, args.threshold);
+    let rows = diff(&baseline, &report);
     println!(
         "\nperf_gate: vs {} (commit {}, threshold {:.0} %):",
         baseline_path,
         baseline.commit,
-        args.threshold * 100.0
+        THRESHOLD * 100.0
     );
     // Environment fingerprint comparison: a regression measured on a
     // loaded or differently-provisioned box should read as an environment
@@ -389,12 +323,6 @@ fn main() -> ExitCode {
         );
     }
     print!("{}", render_diff(&rows));
-    if args.attribute {
-        println!("\nperf_gate: differential attribution (Δself-time, biggest first):");
-        for a in attribute_reports(&baseline, &report) {
-            print!("{}", render_attribution(&a, 5));
-        }
-    }
     if has_regression(&rows) {
         eprintln!("perf_gate: FAIL — at least one workload regressed");
         ExitCode::FAILURE

@@ -1,7 +1,7 @@
 //! The perf-regression gate: `BENCH_*.json` schema, serialization and the
 //! baseline diff that decides pass/fail.
 //!
-//! A [`BenchReport`] is what one `perf_gate` run writes to the repo root:
+//! A [`BenchReport`] is what one `perf_gate` run writes:
 //! per-workload p50/p95 wall times plus the exact operation counters
 //! (SVD sweeps, QR pivots, ADMM iterations, …) collected from the
 //! `pathrep-obs` registry. Because every workload runs with fixed RNG
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Relative p50 slowdown tolerated before the gate fails (25 %).
-pub const DEFAULT_THRESHOLD: f64 = 0.25;
+pub const THRESHOLD: f64 = 0.25;
 
 /// Measured result of one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,6 +272,9 @@ pub enum Verdict {
     Improved,
     /// p50 grew beyond the threshold — the gate fails.
     Regressed,
+    /// A thread-axis (`name@tN`) row: its wall time is shown but never
+    /// gated; its counter deltas are still reported.
+    Informational,
     /// Present now, absent in the baseline (informational).
     New,
     /// Present in the baseline, absent now (informational, surfaced so a
@@ -286,6 +289,7 @@ impl Verdict {
             Verdict::Ok => "ok",
             Verdict::Improved => "improved",
             Verdict::Regressed => "REGRESSED",
+            Verdict::Informational => "info",
             Verdict::New => "new",
             Verdict::Removed => "removed",
         }
@@ -310,10 +314,11 @@ pub struct DiffRow {
 }
 
 /// Compares `current` against `baseline` workload-by-workload. A workload
-/// regresses when its p50 grows by more than `threshold` (relative, e.g.
-/// `0.25` = 25 %); it counts as improved when it shrinks by the same
-/// margin. Rows come back in current-report order, then removed ones.
-pub fn diff(baseline: &BenchReport, current: &BenchReport, threshold: f64) -> Vec<DiffRow> {
+/// regresses when its p50 grows by more than [`THRESHOLD`]; it counts as
+/// improved when it shrinks by the same margin. Thread-axis rows
+/// (`name@tN`) get [`Verdict::Informational`] whatever their ratio. Rows
+/// come back in current-report order, then removed ones.
+pub fn diff(baseline: &BenchReport, current: &BenchReport) -> Vec<DiffRow> {
     let base_by_name: BTreeMap<&str, &WorkloadResult> = baseline
         .workloads
         .iter()
@@ -336,9 +341,11 @@ pub fn diff(baseline: &BenchReport, current: &BenchReport, threshold: f64) -> Ve
                 } else {
                     1.0
                 };
-                let verdict = if ratio > 1.0 + threshold {
+                let verdict = if cur.name.contains("@t") {
+                    Verdict::Informational
+                } else if ratio > 1.0 + THRESHOLD {
                     Verdict::Regressed
-                } else if ratio < 1.0 - threshold {
+                } else if ratio < 1.0 - THRESHOLD {
                     Verdict::Improved
                 } else {
                     Verdict::Ok
@@ -645,7 +652,7 @@ mod tests {
         assert!(r.workloads[0].counters.is_empty());
         // The diff still runs against a counter-less baseline.
         let cur = report(vec![workload("exact_small", 12.5, &[("svd_sweeps", 9)])]);
-        let rows = diff(&r, &cur, DEFAULT_THRESHOLD);
+        let rows = diff(&r, &cur);
         assert_eq!(rows[0].verdict, Verdict::Ok);
     }
 
@@ -697,7 +704,7 @@ mod tests {
     fn regression_beyond_threshold_fails_the_gate() {
         let base = report(vec![workload("a", 100.0, &[("svd_sweeps", 5)])]);
         let cur = report(vec![workload("a", 200.0, &[("svd_sweeps", 5)])]);
-        let rows = diff(&base, &cur, DEFAULT_THRESHOLD);
+        let rows = diff(&base, &cur);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].verdict, Verdict::Regressed);
         assert_eq!(rows[0].ratio, Some(2.0));
@@ -716,7 +723,7 @@ mod tests {
             workload("steady", 110.0, &[]),
             workload("faster", 40.0, &[]),
         ]);
-        let rows = diff(&base, &cur, DEFAULT_THRESHOLD);
+        let rows = diff(&base, &cur);
         assert_eq!(rows[0].verdict, Verdict::Ok);
         assert_eq!(rows[1].verdict, Verdict::Improved);
         assert!(!has_regression(&rows));
@@ -726,13 +733,35 @@ mod tests {
     fn new_and_removed_workloads_are_informational() {
         let base = report(vec![workload("gone", 50.0, &[])]);
         let cur = report(vec![workload("fresh", 60.0, &[])]);
-        let rows = diff(&base, &cur, DEFAULT_THRESHOLD);
+        let rows = diff(&base, &cur);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].verdict, Verdict::New);
         assert_eq!(rows[0].name, "fresh");
         assert_eq!(rows[1].verdict, Verdict::Removed);
         assert_eq!(rows[1].name, "gone");
         assert!(!has_regression(&rows), "membership changes alone never fail");
+    }
+
+    #[test]
+    fn thread_axis_rows_are_informational_but_keep_counter_deltas() {
+        let base = report(vec![
+            workload("a", 100.0, &[]),
+            workload("a@t4", 100.0, &[("svd_sweeps", 5)]),
+        ]);
+        let cur = report(vec![
+            workload("a", 110.0, &[]),
+            workload("a@t4", 600.0, &[("svd_sweeps", 6)]),
+        ]);
+        let rows = diff(&base, &cur);
+        assert_eq!(rows[0].verdict, Verdict::Ok);
+        assert_eq!(rows[1].verdict, Verdict::Informational);
+        assert_eq!(rows[1].ratio, Some(6.0));
+        assert_eq!(
+            rows[1].counter_deltas,
+            [("svd_sweeps".to_owned(), (5, 6))].into_iter().collect()
+        );
+        assert!(!has_regression(&rows), "@tN wall time never fails the gate");
+        assert!(render_diff(&rows).contains("info"));
     }
 
     #[test]
@@ -743,7 +772,7 @@ mod tests {
             101.0,
             &[("svd_sweeps", 7), ("same", 1), ("admm_iters", 3)],
         )]);
-        let rows = diff(&base, &cur, DEFAULT_THRESHOLD);
+        let rows = diff(&base, &cur);
         assert_eq!(
             rows[0].counter_deltas,
             [

@@ -53,8 +53,17 @@ impl Workload {
     }
 }
 
+/// The small instance: a 300-gate synthetic circuit.
 fn small_spec() -> BenchmarkSpec {
-    crate::bench_spec(GATE_SEED)
+    BenchmarkSpec {
+        name: "bench",
+        n_gates: 300,
+        n_inputs: 24,
+        n_outputs: 18,
+        model_levels: 3,
+        seed: GATE_SEED,
+        depth: Some(10),
+    }
 }
 
 fn medium_spec() -> BenchmarkSpec {
@@ -156,6 +165,26 @@ fn mc_workload(name: &'static str, pb: Arc<PreparedBenchmark>) -> Workload {
     }
 }
 
+/// A serve workload's model artifact in the temp dir, deleted when the
+/// workload (whose closure owns it) drops.
+struct TempArtifact(String);
+
+impl TempArtifact {
+    fn save(name: &str, artifact: &ModelArtifact) -> Self {
+        let path = std::env::temp_dir()
+            .join(format!("pathrep_gate_{}_{name}.artifact", std::process::id()));
+        let path = path.to_string_lossy().into_owned();
+        artifact.save(&path).expect("gate artifact saves");
+        TempArtifact(path)
+    }
+}
+
+impl Drop for TempArtifact {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// Builds a deterministic serving artifact: an MMSE predictor with
 /// `measurements → targets` smooth synthetic coefficients (no RNG, so the
 /// serve workloads pin their operation counters exactly).
@@ -214,10 +243,7 @@ fn serve_workload_proto(
     proto: WireProtocol,
 ) -> Workload {
     let artifact = serve_artifact(measurements, targets);
-    let mut path = std::env::temp_dir();
-    path.push(format!("pathrep_gate_{}_{name}.artifact", std::process::id()));
-    let path = path.to_string_lossy().into_owned();
-    artifact.save(&path).expect("gate artifact saves");
+    let file = TempArtifact::save(name, &artifact);
     let meas_mu = artifact.predictor.meas_mu().to_vec();
     Workload {
         name,
@@ -233,7 +259,7 @@ fn serve_workload_proto(
             let addr = handle.addr();
             let mut client = Client::connect(addr).expect("gate client connects");
             client.set_protocol(proto);
-            let model = client.load_model(&path).expect("daemon loads artifact").model;
+            let model = client.load_model(&file.0).expect("daemon loads artifact").model;
             let measured = |k: usize| -> Vec<f64> {
                 meas_mu
                     .iter()
@@ -279,10 +305,7 @@ fn serve_concurrent_workload(
     requests: usize,
 ) -> Workload {
     let artifact = serve_artifact(16, 64);
-    let mut path = std::env::temp_dir();
-    path.push(format!("pathrep_gate_{}_{name}.artifact", std::process::id()));
-    let path = path.to_string_lossy().into_owned();
-    artifact.save(&path).expect("gate artifact saves");
+    let file = TempArtifact::save(name, &artifact);
     let meas_mu = Arc::new(artifact.predictor.meas_mu().to_vec());
     Workload {
         name,
@@ -298,7 +321,7 @@ fn serve_concurrent_workload(
                 .expect("gate server spawns");
             let addr = handle.addr();
             let mut loader = Client::connect(addr).expect("gate client connects");
-            let model = loader.load_model(&path).expect("daemon loads artifact").model;
+            let model = loader.load_model(&file.0).expect("daemon loads artifact").model;
             let t0 = Instant::now();
             let workers: Vec<_> = (0..clients)
                 .map(|c| {

@@ -22,8 +22,8 @@
 //!   `Sigma_S`.
 //! * [`admm::solve_ellipsoid_admm`] — classic two-block ADMM with *exact*
 //!   per-row ellipsoid projections (eigendecomposition + secular-equation
-//!   Newton); reference implementation for small problems and the ablation
-//!   benches.
+//!   Newton); the reference the `admm` unit tests check the linearized
+//!   solver's objective against.
 
 pub mod admm;
 pub mod error;

@@ -65,7 +65,7 @@ impl Default for Table1Options {
 }
 
 impl Table1Options {
-    /// A reduced configuration for quick runs and benches.
+    /// A reduced configuration for quick runs (`--fast`) and tests.
     pub fn fast() -> Self {
         Table1Options {
             specs: Suite::small(),

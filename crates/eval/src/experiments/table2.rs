@@ -96,7 +96,7 @@ impl Default for Table2Options {
 }
 
 impl Table2Options {
-    /// A reduced configuration for quick runs and benches.
+    /// A reduced configuration for quick runs (`--fast`) and tests.
     pub fn fast() -> Self {
         Table2Options {
             specs: Suite::small(),

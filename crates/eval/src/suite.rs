@@ -83,7 +83,7 @@ impl Suite {
         Self::all().into_iter().find(|s| s.name == name)
     }
 
-    /// A small, fast subset used by tests and the criterion benches.
+    /// A small, fast subset: the experiments' `--fast` configurations and tests.
     pub fn small() -> Vec<BenchmarkSpec> {
         Self::all().into_iter().take(3).collect()
     }

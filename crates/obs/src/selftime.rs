@@ -9,9 +9,9 @@
 //! children sum marginally past the parent).
 //!
 //! `perf_gate` serializes the profile of each workload into
-//! `BENCH_<k>.json`; `perf_gate --attribute` and
-//! `pathrep-doctor --perf-diff` rank spans by Δself-time between two
-//! reports to say *which* kernel a wall-time regression lives in.
+//! `BENCH_<k>.json`; `pathrep-doctor --perf-diff` ranks spans by
+//! Δself-time between two reports to say *which* kernel a wall-time
+//! regression lives in.
 
 use crate::snapshot::{Snapshot, SpanNode};
 use serde::{Deserialize, Serialize};
