@@ -6,11 +6,12 @@
 //! together), Algorithm 1 runs independently inside each cluster — cubing
 //! the cost of SVD/Gram work down from `n³` to `Σ nᵢ³` — and the union of
 //! per-cluster representatives feeds one joint Theorem-2 predictor over the
-//! full target set. A final greedy repair enforces the global tolerance if
-//! the union alone misses it (cross-cluster correlation the per-cluster
-//! runs could not see).
+//! full target set. A final greedy repair, the conditioning kernel of
+//! [`crate::greedy`], enforces the global tolerance if the union alone
+//! misses it (cross-cluster correlation the per-cluster runs could not see).
 
 use crate::approx::{approx_select, ApproxConfig};
+use crate::greedy::Conditioning;
 use crate::predictor::MeasurementPredictor;
 use crate::CoreError;
 use pathrep_linalg::Matrix;
@@ -22,8 +23,6 @@ pub struct ClusterConfig {
     pub approx: ApproxConfig,
     /// Upper bound on paths per cluster.
     pub max_cluster_size: usize,
-    /// Cap on global greedy-repair iterations.
-    pub max_repair: usize,
 }
 
 impl ClusterConfig {
@@ -32,7 +31,6 @@ impl ClusterConfig {
         ClusterConfig {
             approx,
             max_cluster_size,
-            max_repair: 64,
         }
     }
 }
@@ -142,53 +140,32 @@ pub fn clustered_select(
     selected.sort_unstable();
     selected.dedup();
 
-    // Joint predictor over the union, with global repair.
-    let mut repair = 0usize;
-    loop {
-        let is_sel: std::collections::HashSet<usize> = selected.iter().copied().collect();
-        let remaining: Vec<usize> = (0..n).filter(|i| !is_sel.contains(i)).collect();
-        let meas = a.select_rows(&selected);
-        let meas_mu: Vec<f64> = selected.iter().map(|&i| mu[i]).collect();
-        let target = a.select_rows(&remaining);
-        let target_mu: Vec<f64> = remaining.iter().map(|&i| mu[i]).collect();
-        let predictor = if remaining.is_empty() {
-            MeasurementPredictor::new(
-                &Matrix::zeros(0, a.ncols()),
-                &[],
-                &meas,
-                &meas_mu,
-                config.approx.kappa,
-            )?
-        } else {
-            MeasurementPredictor::new(&target, &target_mu, &meas, &meas_mu, config.approx.kappa)?
-        };
-        let epsilon_r = if remaining.is_empty() {
-            0.0
-        } else {
-            predictor.epsilon(config.approx.t_cons)
-        };
-        if epsilon_r <= config.approx.epsilon || remaining.is_empty() || repair >= config.max_repair
-        {
-            return Ok(ClusteredSelection {
-                clusters,
-                selected,
-                remaining,
-                predictor,
-                epsilon_r,
-            });
-        }
-        // Add the worst-predicted path and retry.
-        let worst = predictor
-            .stds()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| pathrep_linalg::vecops::cmp_nan_smallest(*a.1, *b.1))
-            .map(|(k, _)| remaining[k])
-            .expect("remaining non-empty");
-        selected.push(worst);
-        selected.sort_unstable();
-        repair += 1;
-    }
+    // Global repair over the union, then one joint predictor.
+    let budget = (config.approx.epsilon * config.approx.t_cons / config.approx.kappa).powi(2);
+    let none = Matrix::zeros(0, a.ncols());
+    let mut kernel = Conditioning::new(a, &none, budget)?;
+    kernel.condition(&selected)?;
+    selected.extend(kernel.greedy()?);
+    selected.sort_unstable();
+    let remaining: Vec<usize> = (0..n)
+        .filter(|i| selected.binary_search(i).is_err())
+        .collect();
+    let meas_mu: Vec<f64> = selected.iter().map(|&i| mu[i]).collect();
+    let target_mu: Vec<f64> = remaining.iter().map(|&i| mu[i]).collect();
+    let predictor = MeasurementPredictor::new(
+        &a.select_rows(&remaining),
+        &target_mu,
+        &a.select_rows(&selected),
+        &meas_mu,
+        config.approx.kappa,
+    )?;
+    Ok(ClusteredSelection {
+        clusters,
+        selected,
+        remaining,
+        epsilon_r: predictor.epsilon(config.approx.t_cons),
+        predictor,
+    })
 }
 
 #[cfg(test)]

@@ -4,11 +4,15 @@
 //! 2. Select representative segments `S_r1` that model `d_Pr1` within a
 //!    tighter tolerance `ε′ < ε` — the convex `ℓ1/ℓ∞` program (Eqn 10)
 //!    solved by `pathrep-convopt`.
-//! 3. Model the whole target set from `d_Sr1`; collect the paths `P_r2`
-//!    whose worst-case prediction error exceeds `ε`.
-//! 4. Measure `S_r1 ∪ P_r2` jointly and predict the rest; if the joint
-//!    error still exceeds `ε` (rare), greedily add the worst offender to
-//!    `P_r2` until it holds.
+//! 3. Model the whole target set from `d_Sr1`; collect, all at once, the
+//!    paths `P_r2` whose worst-case prediction error exceeds `ε`.
+//! 4. Measure `S_r1 ∪ P_r2` jointly and predict the rest; while some
+//!    path's error still exceeds `ε`, add the worst-predicted one to `P_r2`.
+//!
+//! Steps 3–4 run the conditioning kernel of [`crate::greedy`], and the
+//! joint Theorem-2 predictor is built once, at the end. No recorded run
+//! adds a path in Steps 3–4: `|P_r| = 0` on all 10 full Table 2 rows, the
+//! 3 `--fast` rows and the 6 random-scale rows (`results/`).
 //!
 //! Since the design-stage selection can be parallelized, the paper sweeps
 //! `ε′` and keeps the candidate minimizing `|P_r| + |S_r|`;
@@ -16,7 +20,9 @@
 
 use crate::exact::exact_select_with;
 use crate::factors::ModelFactors;
+use crate::greedy::Conditioning;
 use crate::predictor::MeasurementPredictor;
+use crate::select::Selection;
 use crate::CoreError;
 use pathrep_convopt::{solve_linearized_admm, AdmmConfig, GroupSelectProblem, GroupSelectSolution};
 use pathrep_linalg::Matrix;
@@ -66,8 +72,6 @@ pub struct HybridConfig {
     pub kappa: f64,
     /// Convex-solver configuration.
     pub admm: AdmmConfig,
-    /// Cap on greedy repair iterations in Step 4.
-    pub max_repair: usize,
 }
 
 impl HybridConfig {
@@ -79,7 +83,6 @@ impl HybridConfig {
             t_cons,
             kappa: crate::predictor::DEFAULT_KAPPA,
             admm: AdmmConfig::default(),
-            max_repair: 64,
         }
     }
 
@@ -177,7 +180,17 @@ pub fn hybrid_select_with(
     config: &HybridConfig,
     factors: &ModelFactors,
 ) -> Result<HybridSelection, CoreError> {
-    let _span = pathrep_obs::span!("hybrid_select");
+    let exact = select_exact_paths(inputs, config, factors)?;
+    select_from_exact(inputs, config, &exact)
+}
+
+/// Step 1: exact path selection `P_r1` (zero error), after checking the
+/// config and the input shapes. `P_r1` does not depend on ε′.
+fn select_exact_paths(
+    inputs: &HybridInputs<'_>,
+    config: &HybridConfig,
+    factors: &ModelFactors,
+) -> Result<Selection, CoreError> {
     config.validate()?;
     let n = inputs.a.nrows();
     if inputs.g.nrows() != n
@@ -189,14 +202,20 @@ pub fn hybrid_select_with(
             what: "inconsistent hybrid input dimensions".into(),
         });
     }
+    exact_select_with(inputs.a, inputs.mu_paths, config.kappa, factors)
+}
 
-    // --- Step 1: exact path selection (zero error) ---
-    let exact = exact_select_with(inputs.a, inputs.mu_paths, config.kappa, factors)?;
-    let p_r1 = &exact.selected;
+/// Steps 2–4 of Algorithm 3 for one ε′, given Step 1's `exact`.
+fn select_from_exact(
+    inputs: &HybridInputs<'_>,
+    config: &HybridConfig,
+    exact: &Selection,
+) -> Result<HybridSelection, CoreError> {
+    let _span = pathrep_obs::span!("hybrid_select");
 
     // --- Step 2: segment selection for the representative paths ---
     let problem = GroupSelectProblem {
-        g_target: inputs.g.select_rows(p_r1),
+        g_target: inputs.g.select_rows(&exact.selected),
         sigma: inputs.sigma.clone(),
         radius: config.epsilon_prime * config.t_cons / config.kappa,
     };
@@ -216,147 +235,70 @@ pub fn hybrid_select_with(
             )
         });
     }
-    let s_r1 = solution.selected;
+    let segments = solution.selected;
 
-    // --- Step 3: model all targets from the selected segments ---
-    let threshold = config.epsilon * config.t_cons;
-    let mut p_r2: Vec<usize> = if s_r1.is_empty() {
-        // No segments: every path whose own κσ exceeds the budget must be
-        // measured directly.
-        (0..n)
-            .filter(|&i| {
-                let row = inputs.a.row(i);
-                let sd: f64 = row.iter().map(|v| v * v).sum::<f64>().sqrt();
-                config.kappa * sd > threshold
-            })
-            .collect()
-    } else {
-        let meas_sens = inputs.sigma.select_rows(&s_r1);
-        let meas_mu: Vec<f64> = s_r1.iter().map(|&s| inputs.mu_segments[s]).collect();
-        let seg_predictor = MeasurementPredictor::new(
-            inputs.a,
-            inputs.mu_paths,
-            &meas_sens,
-            &meas_mu,
-            config.kappa,
-        )?;
-        seg_predictor
-            .wc_errors()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &wc)| wc > threshold)
-            .map(|(i, _)| i)
-            .collect()
-    };
-
-    // --- Step 4: joint predictor, with greedy repair if needed ---
-    let mut repair = 0usize;
-    loop {
-        let (predictor, remaining) = build_joint_predictor(inputs, &s_r1, &p_r2, config.kappa)?;
-        let epsilon_r = if remaining.is_empty() {
-            0.0
-        } else {
-            predictor.epsilon(config.t_cons)
-        };
-        if epsilon_r <= config.epsilon || repair >= config.max_repair || remaining.is_empty() {
-            pathrep_obs::counter_add("core.hybrid.selections", 1);
-            pathrep_obs::counter_add("core.hybrid.segments_selected", s_r1.len() as u64);
-            pathrep_obs::counter_add("core.hybrid.paths_selected", p_r2.len() as u64);
-            pathrep_obs::counter_add("core.hybrid.repair_iterations", repair as u64);
-            pathrep_obs::gauge_set("core.hybrid.epsilon_r", epsilon_r);
-            pathrep_obs::ledger::record("core", "hybrid_select", |f| {
-                f.int("segments", s_r1.len() as u64)
-                    .int("paths", p_r2.len() as u64)
-                    .int("remaining", remaining.len() as u64)
-                    .int("exact_size", exact.rank as u64)
-                    .int("repair_iterations", repair as u64)
-                    .num("epsilon_r", epsilon_r)
-                    .num("epsilon", config.epsilon)
-                    .num("epsilon_prime", config.epsilon_prime)
-                    .flag("admm_converged", admm_stats.converged);
-            });
-            return Ok(HybridSelection {
-                segments: s_r1,
-                paths: p_r2,
-                remaining,
-                predictor,
-                epsilon_r,
-                exact_size: exact.rank,
-                epsilon_prime: config.epsilon_prime,
-                admm_stats,
-            });
-        }
-        // Add the worst-predicted remaining path to the measurement set.
-        let worst = predictor
-            .stds()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| pathrep_linalg::vecops::cmp_nan_smallest(*a.1, *b.1))
-            .map(|(k, _)| remaining[k])
-            .expect("remaining non-empty");
-        p_r2.push(worst);
-        p_r2.sort_unstable();
-        repair += 1;
-    }
-}
-
-/// Builds the joint `[segments ; paths] → remaining paths` predictor.
-fn build_joint_predictor(
-    inputs: &HybridInputs<'_>,
-    segments: &[usize],
-    paths: &[usize],
-    kappa: f64,
-) -> Result<(MeasurementPredictor, Vec<usize>), CoreError> {
+    // --- Steps 3–4: condition every target path on the segments ---
     let n = inputs.a.nrows();
-    let measured_paths: std::collections::HashSet<usize> = paths.iter().copied().collect();
-    let remaining: Vec<usize> = (0..n).filter(|i| !measured_paths.contains(i)).collect();
+    let seg_sens = inputs.sigma.select_rows(&segments);
+    let budget = (config.epsilon * config.t_cons / config.kappa).powi(2);
+    let mut kernel = Conditioning::new(inputs.a, &seg_sens, budget)?;
+    // Step 3: measure every path the segments leave over budget, at once.
+    let mut paths = kernel.over_budget();
+    kernel.condition(&paths)?;
+    // Step 4: measure the worst-predicted path until none is over budget.
+    let repair = kernel.greedy()?;
+    let repair_iterations = repair.len();
+    paths.extend(repair);
+    paths.sort_unstable();
 
-    let mut meas_rows = Vec::with_capacity(segments.len() + paths.len());
-    let mut meas_mu = Vec::with_capacity(segments.len() + paths.len());
-    let seg_sens = inputs.sigma.select_rows(segments);
-    for (k, &s) in segments.iter().enumerate() {
-        meas_rows.push(seg_sens.row(k).to_vec());
-        meas_mu.push(inputs.mu_segments[s]);
-    }
-    let path_sens = inputs.a.select_rows(paths);
-    for (k, &p) in paths.iter().enumerate() {
-        meas_rows.push(path_sens.row(k).to_vec());
-        meas_mu.push(inputs.mu_paths[p]);
-    }
-    let nx = inputs.sigma.ncols();
-    let meas_sens = if meas_rows.is_empty() {
-        Matrix::zeros(1, nx) // degenerate: predict by the mean only
-    } else {
-        let refs: Vec<&[f64]> = meas_rows.iter().map(|r| r.as_slice()).collect();
-        Matrix::from_rows(&refs)?
-    };
-    let meas_mu_final = if meas_rows.is_empty() {
-        vec![0.0]
-    } else {
-        meas_mu
-    };
-    let target_sens = inputs.a.select_rows(&remaining);
+    let remaining: Vec<usize> = (0..n).filter(|i| paths.binary_search(i).is_err()).collect();
+    let meas_sens = seg_sens.vstack(&inputs.a.select_rows(&paths))?;
+    let meas_mu: Vec<f64> = segments
+        .iter()
+        .map(|&s| inputs.mu_segments[s])
+        .chain(paths.iter().map(|&p| inputs.mu_paths[p]))
+        .collect();
     let target_mu: Vec<f64> = remaining.iter().map(|&i| inputs.mu_paths[i]).collect();
-    let predictor = if remaining.is_empty() {
-        // All paths measured: a trivial predictor over an empty target set
-        // cannot be represented; build a 1-target dummy is wrong. Instead
-        // keep an empty-target predictor via a zero-row matrix.
-        MeasurementPredictor::new(
-            &Matrix::zeros(0, nx).add(&Matrix::zeros(0, nx))?,
-            &[],
-            &meas_sens,
-            &meas_mu_final,
-            kappa,
-        )?
-    } else {
-        MeasurementPredictor::new(&target_sens, &target_mu, &meas_sens, &meas_mu_final, kappa)?
-    };
-    Ok((predictor, remaining))
+    let predictor = MeasurementPredictor::new(
+        &inputs.a.select_rows(&remaining),
+        &target_mu,
+        &meas_sens,
+        &meas_mu,
+        config.kappa,
+    )?;
+    let epsilon_r = predictor.epsilon(config.t_cons);
+
+    pathrep_obs::counter_add("core.hybrid.selections", 1);
+    pathrep_obs::counter_add("core.hybrid.segments_selected", segments.len() as u64);
+    pathrep_obs::counter_add("core.hybrid.paths_selected", paths.len() as u64);
+    pathrep_obs::counter_add("core.hybrid.repair_iterations", repair_iterations as u64);
+    pathrep_obs::gauge_set("core.hybrid.epsilon_r", epsilon_r);
+    pathrep_obs::ledger::record("core", "hybrid_select", |f| {
+        f.int("segments", segments.len() as u64)
+            .int("paths", paths.len() as u64)
+            .int("remaining", remaining.len() as u64)
+            .int("exact_size", exact.rank as u64)
+            .int("repair_iterations", repair_iterations as u64)
+            .num("epsilon_r", epsilon_r)
+            .num("epsilon", config.epsilon)
+            .num("epsilon_prime", config.epsilon_prime)
+            .flag("admm_converged", admm_stats.converged);
+    });
+    Ok(HybridSelection {
+        segments,
+        paths,
+        remaining,
+        predictor,
+        epsilon_r,
+        exact_size: exact.rank,
+        epsilon_prime: config.epsilon_prime,
+        admm_stats,
+    })
 }
 
 /// Sweeps ε′ candidates (all strictly below ε) and returns the selection
 /// with the fewest total measurements; ties break toward the smaller
-/// achieved error.
+/// achieved error. Step 1 does not depend on ε′ and runs once.
 ///
 /// # Errors
 ///
@@ -383,90 +325,101 @@ pub fn hybrid_select_sweep_with(
     factors: &ModelFactors,
 ) -> Result<HybridSelection, CoreError> {
     let _span = pathrep_obs::span!("hybrid_sweep");
-    let mut best: Option<HybridSelection> = None;
-    let mut first_err: Option<CoreError> = None;
-    for &ep in eps_prime_candidates {
-        if !(ep > 0.0 && ep < base.epsilon) {
-            continue;
-        }
-        let config = HybridConfig {
+    let mut configs = eps_prime_candidates
+        .iter()
+        .filter(|&&ep| ep > 0.0 && ep < base.epsilon)
+        .map(|&ep| HybridConfig {
             epsilon_prime: ep,
             ..base.clone()
-        };
-        match hybrid_select_with(inputs, &config, factors) {
+        });
+    let Some(first) = configs.next() else {
+        return Err(CoreError::InvalidArgument {
+            what: "no valid epsilon_prime candidate (need 0 < eps' < eps)".into(),
+        });
+    };
+    let exact = select_exact_paths(inputs, &first, factors)?;
+    let mut best: Option<HybridSelection> = None;
+    let mut first_err: Option<CoreError> = None;
+    for config in std::iter::once(first).chain(configs) {
+        match select_from_exact(inputs, &config, &exact) {
             Ok(sol) => {
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        sol.measurement_count() < b.measurement_count()
-                            || (sol.measurement_count() == b.measurement_count()
-                                && sol.epsilon_r < b.epsilon_r)
-                    }
-                };
-                if better {
+                let key = |s: &HybridSelection| (s.measurement_count(), s.epsilon_r);
+                if best.as_ref().is_none_or(|b| key(&sol) < key(b)) {
                     best = Some(sol);
                 }
             }
             Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+                first_err.get_or_insert(e);
             }
         }
     }
-    match best {
-        Some(b) => Ok(b),
-        None => Err(first_err.unwrap_or(CoreError::InvalidArgument {
-            what: "no valid epsilon_prime candidate (need 0 < eps' < eps)".into(),
-        })),
-    }
+    best.ok_or_else(|| first_err.expect("every candidate either succeeds or fails"))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Figure-1-like model: 4 paths over 4 segments, 9 gate variables.
-    fn toy_inputs() -> (Matrix, Matrix, Matrix, Vec<f64>, Vec<f64>) {
-        let g = Matrix::from_rows(&[
-            &[1.0, 0.0, 1.0, 0.0],
-            &[1.0, 0.0, 0.0, 1.0],
-            &[0.0, 1.0, 0.0, 1.0],
-            &[0.0, 1.0, 1.0, 0.0],
-        ])
-        .unwrap();
-        // Segments: A=[g0,g2], B=[g1,g3], C=[g4,g6,g8], D=[g4,g5,g7].
-        let seg = |gates: &[usize], w: f64| {
-            let mut row = vec![0.0; 9];
-            for &gt in gates {
-                row[gt] = w;
+    pub(crate) struct Toy {
+        g: Matrix,
+        sigma: Matrix,
+        a: Matrix,
+        mu_seg: Vec<f64>,
+        mu_paths: Vec<f64>,
+    }
+
+    impl Toy {
+        pub(crate) fn new() -> Self {
+            let g = Matrix::from_rows(&[
+                &[1.0, 0.0, 1.0, 0.0],
+                &[1.0, 0.0, 0.0, 1.0],
+                &[0.0, 1.0, 0.0, 1.0],
+                &[0.0, 1.0, 1.0, 0.0],
+            ])
+            .unwrap();
+            // Segments: A=[g0,g2], B=[g1,g3], C=[g4,g6,g8], D=[g4,g5,g7].
+            let seg = |gates: &[usize], w: f64| {
+                let mut row = vec![0.0; 9];
+                for &gt in gates {
+                    row[gt] = w;
+                }
+                row
+            };
+            let srows = [
+                seg(&[0, 2], 3.0),
+                seg(&[1, 3], 3.0),
+                seg(&[4, 6, 8], 2.0),
+                seg(&[4, 5, 7], 2.0),
+            ];
+            let sigma = Matrix::from_rows(&[&srows[0], &srows[1], &srows[2], &srows[3]]).unwrap();
+            let a = g.matmul(&sigma).unwrap();
+            let mu_seg = vec![50.0, 52.0, 70.0, 71.0];
+            let mu_paths = g.matvec(&mu_seg).unwrap();
+            Toy {
+                g,
+                sigma,
+                a,
+                mu_seg,
+                mu_paths,
             }
-            row
-        };
-        let srows = [
-            seg(&[0, 2], 3.0),
-            seg(&[1, 3], 3.0),
-            seg(&[4, 6, 8], 2.0),
-            seg(&[4, 5, 7], 2.0),
-        ];
-        let sigma =
-            Matrix::from_rows(&[&srows[0], &srows[1], &srows[2], &srows[3]]).unwrap();
-        let a = g.matmul(&sigma).unwrap();
-        let mu_seg = vec![50.0, 52.0, 70.0, 71.0];
-        let mu_paths = g.matvec(&mu_seg).unwrap();
-        (g, sigma, a, mu_seg, mu_paths)
+        }
+
+        pub(crate) fn inputs(&self) -> HybridInputs<'_> {
+            HybridInputs {
+                g: &self.g,
+                sigma: &self.sigma,
+                a: &self.a,
+                mu_segments: &self.mu_seg,
+                mu_paths: &self.mu_paths,
+            }
+        }
     }
 
     #[test]
     fn hybrid_meets_tolerance() {
-        let (g, sigma, a, mu_seg, mu_paths) = toy_inputs();
-        let inputs = HybridInputs {
-            g: &g,
-            sigma: &sigma,
-            a: &a,
-            mu_segments: &mu_seg,
-            mu_paths: &mu_paths,
-        };
+        let toy = Toy::new();
+        let inputs = toy.inputs();
         let cfg = HybridConfig::new(0.08, 0.04, 130.0);
         let sol = hybrid_select(&inputs, &cfg).unwrap();
         assert!(sol.epsilon_r <= 0.08 + 1e-9);
@@ -480,14 +433,8 @@ mod tests {
 
     #[test]
     fn zero_like_tolerance_measures_enough_for_exactness() {
-        let (g, sigma, a, mu_seg, mu_paths) = toy_inputs();
-        let inputs = HybridInputs {
-            g: &g,
-            sigma: &sigma,
-            a: &a,
-            mu_segments: &mu_seg,
-            mu_paths: &mu_paths,
-        };
+        let toy = Toy::new();
+        let inputs = toy.inputs();
         // Tiny ε: the repair loop must end with ε_r ≤ ε by measuring paths
         // directly (or everything).
         let cfg = HybridConfig::new(1e-6, 5e-7, 130.0);
@@ -497,35 +444,19 @@ mod tests {
 
     #[test]
     fn joint_predictor_uses_segments_then_paths() {
-        let (g, sigma, a, mu_seg, mu_paths) = toy_inputs();
-        let inputs = HybridInputs {
-            g: &g,
-            sigma: &sigma,
-            a: &a,
-            mu_segments: &mu_seg,
-            mu_paths: &mu_paths,
-        };
+        let toy = Toy::new();
+        let inputs = toy.inputs();
         let cfg = HybridConfig::new(0.08, 0.02, 130.0);
         let sol = hybrid_select(&inputs, &cfg).unwrap();
-        assert_eq!(
-            sol.predictor.measurement_count(),
-            sol.measurement_count().max(1)
-        );
+        assert_eq!(sol.predictor.measurement_count(), sol.measurement_count());
     }
 
     #[test]
     fn sweep_picks_cheapest() {
-        let (g, sigma, a, mu_seg, mu_paths) = toy_inputs();
-        let inputs = HybridInputs {
-            g: &g,
-            sigma: &sigma,
-            a: &a,
-            mu_segments: &mu_seg,
-            mu_paths: &mu_paths,
-        };
+        let toy = Toy::new();
+        let inputs = toy.inputs();
         let base = HybridConfig::new(0.08, 0.04, 130.0);
-        let sweep =
-            hybrid_select_sweep(&inputs, &base, &[0.01, 0.02, 0.04, 0.06]).unwrap();
+        let sweep = hybrid_select_sweep(&inputs, &base, &[0.01, 0.02, 0.04, 0.06]).unwrap();
         for &ep in &[0.01, 0.02, 0.04, 0.06] {
             let cfg = HybridConfig::new(0.08, ep, 130.0);
             let sol = hybrid_select(&inputs, &cfg).unwrap();
@@ -535,28 +466,16 @@ mod tests {
 
     #[test]
     fn sweep_rejects_empty_candidates() {
-        let (g, sigma, a, mu_seg, mu_paths) = toy_inputs();
-        let inputs = HybridInputs {
-            g: &g,
-            sigma: &sigma,
-            a: &a,
-            mu_segments: &mu_seg,
-            mu_paths: &mu_paths,
-        };
+        let toy = Toy::new();
+        let inputs = toy.inputs();
         let base = HybridConfig::new(0.08, 0.04, 130.0);
         assert!(hybrid_select_sweep(&inputs, &base, &[0.5]).is_err());
     }
 
     #[test]
     fn config_validation() {
-        let (g, sigma, a, mu_seg, mu_paths) = toy_inputs();
-        let inputs = HybridInputs {
-            g: &g,
-            sigma: &sigma,
-            a: &a,
-            mu_segments: &mu_seg,
-            mu_paths: &mu_paths,
-        };
+        let toy = Toy::new();
+        let inputs = toy.inputs();
         // ε′ ≥ ε rejected.
         let bad = HybridConfig::new(0.05, 0.05, 130.0);
         assert!(hybrid_select(&inputs, &bad).is_err());

@@ -59,7 +59,8 @@ pub struct MeasurementPredictor {
 impl MeasurementPredictor {
     /// Builds the predictor from explicit sensitivity matrices:
     /// targets have `d_t = target_mu + target_sens·x`, measurements
-    /// `d_m = meas_mu + meas_sens·x`.
+    /// `d_m = meas_mu + meas_sens·x`. With no measurements the prediction
+    /// is the mean, and `std_i = ‖target row i‖`.
     ///
     /// # Errors
     ///
@@ -72,37 +73,7 @@ impl MeasurementPredictor {
         meas_mu: &[f64],
         kappa: f64,
     ) -> Result<Self, CoreError> {
-        if kappa <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "kappa must be positive".into(),
-            });
-        }
-        if target_sens.ncols() != meas_sens.ncols() {
-            return Err(CoreError::InvalidArgument {
-                what: "target and measurement sensitivities must share the variable space".into(),
-            });
-        }
-        if target_mu.len() != target_sens.nrows() || meas_mu.len() != meas_sens.nrows() {
-            return Err(CoreError::InvalidArgument {
-                what: "mean vectors must match sensitivity row counts".into(),
-            });
-        }
-        // coef = A_t Mᵀ (M Mᵀ)⁺
-        let cross = target_sens.matmul(&meas_sens.transpose())?;
-        let gram = meas_sens.matmul(&meas_sens.transpose())?;
-        let coef = solve_right_psd(&gram, &cross)?;
-        // Ω = coef·M − A_t; per-row std.
-        let omega = coef.matmul(meas_sens)?.sub(target_sens)?;
-        let stds: Vec<f64> = (0..omega.nrows())
-            .map(|i| vecops::norm2(omega.row(i)))
-            .collect();
-        Ok(MeasurementPredictor {
-            coef,
-            meas_mu: meas_mu.to_vec(),
-            target_mu: target_mu.to_vec(),
-            stds,
-            kappa,
-        })
+        Self::new_with_noise(target_sens, target_mu, meas_sens, meas_mu, kappa, 0.0)
     }
 
     /// Builds the predictor under *noisy measurement*: each measured delay
@@ -112,7 +83,7 @@ impl MeasurementPredictor {
     /// `A_t Mᵀ (M Mᵀ + σ²I)⁺` and the prediction error gains the
     /// propagated-noise term `σ²‖coef row‖²`.
     ///
-    /// With `noise_sigma = 0` this reduces exactly to [`MeasurementPredictor::new`].
+    /// With `noise_sigma = 0` this is exactly [`MeasurementPredictor::new`].
     ///
     /// # Errors
     ///
@@ -131,9 +102,6 @@ impl MeasurementPredictor {
                 what: "noise_sigma must be non-negative".into(),
             });
         }
-        if noise_sigma == 0.0 {
-            return Self::new(target_sens, target_mu, meas_sens, meas_mu, kappa);
-        }
         if kappa <= 0.0 {
             return Err(CoreError::InvalidArgument {
                 what: "kappa must be positive".into(),
@@ -149,19 +117,33 @@ impl MeasurementPredictor {
                 what: "mean vectors must match sensitivity row counts".into(),
             });
         }
+        if meas_sens.nrows() == 0 {
+            return Ok(MeasurementPredictor {
+                coef: Matrix::zeros(target_sens.nrows(), 0),
+                meas_mu: Vec::new(),
+                target_mu: target_mu.to_vec(),
+                stds: (0..target_sens.nrows())
+                    .map(|i| vecops::norm2(target_sens.row(i)))
+                    .collect(),
+                kappa,
+            });
+        }
+        // coef = A_t Mᵀ (M Mᵀ + σ²I)⁺
         let cross = target_sens.matmul(&meas_sens.transpose())?;
         let mut gram = meas_sens.matmul(&meas_sens.transpose())?;
         for i in 0..gram.nrows() {
             gram[(i, i)] += noise_sigma * noise_sigma;
         }
         let coef = solve_right_psd(&gram, &cross)?;
-        // Var(Δᵢ) = ‖row(coef·M − A_t)‖² + σ²‖row(coef)‖².
+        // Ω = coef·M − A_t; Var(Δᵢ) = ‖row(Ω)‖² + σ²‖row(coef)‖².
         let omega = coef.matmul(meas_sens)?.sub(target_sens)?;
         let stds: Vec<f64> = (0..omega.nrows())
             .map(|i| {
-                let model = vecops::norm2(omega.row(i)).powi(2);
-                let noise = (noise_sigma * vecops::norm2(coef.row(i))).powi(2);
-                (model + noise).sqrt()
+                let model = vecops::norm2(omega.row(i));
+                if noise_sigma == 0.0 {
+                    return model;
+                }
+                (model.powi(2) + (noise_sigma * vecops::norm2(coef.row(i))).powi(2)).sqrt()
             })
             .collect();
         Ok(MeasurementPredictor {

@@ -191,3 +191,28 @@ fn hybrid_plan_matches_per_sample_loop() {
     };
     assert_matches_reference(dm, &plan, &selection.remaining);
 }
+
+/// A tolerance loose enough that nothing needs measuring: the plan is
+/// empty, its predictor takes no measurements and predicts each path by
+/// its mean with `std_i = ‖a_i‖`, and `evaluate` scores it like any other.
+#[test]
+fn empty_hybrid_plan_predicts_the_mean() {
+    let pb = tiny(&PipelineConfig::default());
+    let dm = &pb.delay_model;
+    let inputs = HybridInputs {
+        g: dm.g(),
+        sigma: dm.sigma(),
+        a: dm.a(),
+        mu_segments: dm.mu_segments(),
+        mu_paths: dm.mu_paths(),
+    };
+    let hybrid = hybrid_select(&inputs, &HybridConfig::new(0.5, 0.4, pb.t_cons)).unwrap();
+    assert_eq!(hybrid.measurement_count(), 0);
+    assert_eq!(hybrid.predictor.measurement_count(), 0);
+    assert_eq!(hybrid.remaining.len(), dm.mu_paths().len());
+    for (&std, &i) in hybrid.predictor.stds().iter().zip(&hybrid.remaining) {
+        assert_eq!(std, pathrep_linalg::vecops::norm2(dm.a().row(i)));
+    }
+    let plan = MeasurementPlan::Hybrid { selection: &hybrid };
+    assert_matches_reference(dm, &plan, &hybrid.remaining);
+}

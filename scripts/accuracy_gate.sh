@@ -10,9 +10,10 @@
 # byte-compared against each other: the pathrep-par kernels must produce
 # bit-identical numbers at every worker count.
 #
-# Finally `table2 --fast` and `guardband` rerun and must reproduce the
-# committed results/table2_fast.txt and results/guardband.txt byte for
-# byte (~8 s together).
+# Finally `table2 --fast`, `guardband`, `figure2`, `ablation_eta` and
+# `ablation_random_scale` rerun and must reproduce their committed
+# results/*.txt byte for byte (~30 s together on 2 vCPUs,
+# ~19 s of it `ablation_random_scale`).
 #
 # Usage: scripts/accuracy_gate.sh [--self-test] [extra pathrep-doctor flags…]
 #   --self-test  inject a synthetic rank-drop regression and require the
@@ -37,7 +38,8 @@ done
 
 cargo build --release --example quickstart
 cargo build --release -p pathrep-bench --bin pathrep-doctor
-cargo build --release -p pathrep-eval --bin table2 --bin guardband
+cargo build --release -p pathrep-eval --bin table2 --bin guardband --bin figure2 \
+    --bin ablation_eta --bin ablation_random_scale
 
 if [ ! -f "$GOLDEN" ]; then
     echo "accuracy_gate.sh: no golden ledger — seeding $GOLDEN"
@@ -99,7 +101,8 @@ fi
 ./target/release/pathrep-doctor "$GOLDEN" --diff "$CANDIDATE_T4" \
     ${doctor_flags[@]+"${doctor_flags[@]}"}
 
-for run in "table2 --fast:table2_fast" "guardband:guardband"; do
+for run in "table2 --fast:table2_fast" "guardband:guardband" "figure2:figure2" \
+    "ablation_eta:ablation_eta" "ablation_random_scale:ablation_random_scale"; do
     cmd="${run%%:*}"
     recorded="results/${run##*:}.txt"
     # shellcheck disable=SC2086 # $cmd is a binary name plus its flags
@@ -108,4 +111,5 @@ for run in "table2 --fast:table2_fast" "guardband:guardband"; do
         exit 1
     fi
 done
-echo "accuracy_gate.sh: recorded results OK (table2 --fast and guardband reproduce results/)"
+echo "accuracy_gate.sh: recorded results OK (table2 --fast, guardband, figure2, ablation_eta" \
+    "and ablation_random_scale reproduce results/)"
