@@ -10,10 +10,10 @@
 # byte-compared against each other: the pathrep-par kernels must produce
 # bit-identical numbers at every worker count.
 #
-# Finally `table2 --fast`, `guardband`, `figure2`, `ablation_eta` and
-# `ablation_random_scale` rerun and must reproduce their committed
-# results/*.txt byte for byte (~30 s together on 2 vCPUs,
-# ~19 s of it `ablation_random_scale`).
+# Finally `table1`, `table2 --fast`, `guardband`, `figure2`, `ablation_eta`
+# and `ablation_random_scale` rerun and must reproduce their committed
+# results/*.txt byte for byte (~55 s together on 2 vCPUs, ~25 s of it
+# `table1` and ~19 s `ablation_random_scale`).
 #
 # Usage: scripts/accuracy_gate.sh [--self-test] [extra pathrep-doctor flags…]
 #   --self-test  inject a synthetic rank-drop regression and require the
@@ -38,8 +38,8 @@ done
 
 cargo build --release --example quickstart
 cargo build --release -p pathrep-bench --bin pathrep-doctor
-cargo build --release -p pathrep-eval --bin table2 --bin guardband --bin figure2 \
-    --bin ablation_eta --bin ablation_random_scale
+cargo build --release -p pathrep-eval --bin table1 --bin table2 --bin guardband \
+    --bin figure2 --bin ablation_eta --bin ablation_random_scale
 
 if [ ! -f "$GOLDEN" ]; then
     echo "accuracy_gate.sh: no golden ledger — seeding $GOLDEN"
@@ -101,8 +101,8 @@ fi
 ./target/release/pathrep-doctor "$GOLDEN" --diff "$CANDIDATE_T4" \
     ${doctor_flags[@]+"${doctor_flags[@]}"}
 
-for run in "table2 --fast:table2_fast" "guardband:guardband" "figure2:figure2" \
-    "ablation_eta:ablation_eta" "ablation_random_scale:ablation_random_scale"; do
+for run in "table1:table1" "table2 --fast:table2_fast" "guardband:guardband" \
+    "figure2:figure2" "ablation_eta:ablation_eta" "ablation_random_scale:ablation_random_scale"; do
     cmd="${run%%:*}"
     recorded="results/${run##*:}.txt"
     # shellcheck disable=SC2086 # $cmd is a binary name plus its flags
@@ -111,5 +111,5 @@ for run in "table2 --fast:table2_fast" "guardband:guardband" "figure2:figure2" \
         exit 1
     fi
 done
-echo "accuracy_gate.sh: recorded results OK (table2 --fast, guardband, figure2, ablation_eta" \
-    "and ablation_random_scale reproduce results/)"
+echo "accuracy_gate.sh: recorded results OK (table1, table2 --fast, guardband, figure2," \
+    "ablation_eta and ablation_random_scale reproduce results/)"
