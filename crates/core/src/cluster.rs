@@ -6,13 +6,13 @@
 //! together), Algorithm 1 runs independently inside each cluster — cubing
 //! the cost of SVD/Gram work down from `n³` to `Σ nᵢ³` — and the union of
 //! per-cluster representatives feeds one joint Theorem-2 predictor over the
-//! full target set. A final greedy repair, the conditioning kernel of
-//! [`crate::greedy`], enforces the global tolerance if the union alone
-//! misses it (cross-cluster correlation the per-cluster runs could not see).
+//! full target set. A final greedy repair on the conditioning kernel of
+//! [`crate::predictor`] enforces the global tolerance if the union alone
+//! misses it (cross-cluster correlation the per-cluster runs could not
+//! see), and the joint predictor is built from that same kernel.
 
 use crate::approx::{approx_select, ApproxConfig};
-use crate::greedy::Conditioning;
-use crate::predictor::MeasurementPredictor;
+use crate::predictor::{Columns, Conditioning, MeasurementPredictor};
 use crate::CoreError;
 use pathrep_linalg::Matrix;
 
@@ -143,22 +143,15 @@ pub fn clustered_select(
     // Global repair over the union, then one joint predictor.
     let budget = (config.approx.epsilon * config.approx.t_cons / config.approx.kappa).powi(2);
     let none = Matrix::zeros(0, a.ncols());
-    let mut kernel = Conditioning::new(a, &none, budget)?;
+    let columns = Columns::Rows {
+        targets: a,
+        extra: &none,
+    };
+    let mut kernel = Conditioning::new(columns, 0.0)?;
     kernel.condition(&selected)?;
-    selected.extend(kernel.greedy()?);
+    selected.extend(kernel.greedy(budget)?);
     selected.sort_unstable();
-    let remaining: Vec<usize> = (0..n)
-        .filter(|i| selected.binary_search(i).is_err())
-        .collect();
-    let meas_mu: Vec<f64> = selected.iter().map(|&i| mu[i]).collect();
-    let target_mu: Vec<f64> = remaining.iter().map(|&i| mu[i]).collect();
-    let predictor = MeasurementPredictor::new(
-        &a.select_rows(&remaining),
-        &target_mu,
-        &a.select_rows(&selected),
-        &meas_mu,
-        config.approx.kappa,
-    )?;
+    let (predictor, remaining) = kernel.predictor(&selected, mu, config.approx.kappa);
     Ok(ClusteredSelection {
         clusters,
         selected,

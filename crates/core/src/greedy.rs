@@ -1,134 +1,18 @@
-//! Greedy representative-path selection, and the one conditioning kernel
-//! behind every "measure the worst-predicted path" loop in this crate.
+//! Greedy representative-path selection.
 //!
 //! [`greedy_select`] is the natural baseline to the paper's Algorithm 2:
 //! instead of SVD + QR-with-column-pivoting subset selection, it measures
 //! the path the current measurements explain worst until the tolerance
 //! holds. Each step is optimal *myopically*; the rank-revealing selection
 //! optimizes the subspace jointly (`tests::comparable_to_algorithm_one`).
-//! Algorithm 3's Steps 3–4 ([`crate::hybrid`]) and the clustered repair
-//! ([`crate::cluster`]) run the same loop on [`Conditioning`]: a partial
-//! pivoted Cholesky of `K = M·Mᵀ`, with `M` the target rows of `A` over
-//! measured non-target rows (segments of `Σ`). It keeps only its `k` pivot
-//! columns, `(n + m)·k` numbers, never the `n × n` Gram, and leaves each
-//! target's conditional variance, the Theorem-2 `std²` of
-//! [`MeasurementPredictor`], on its diagonal. EffiTest predicts its
-//! untested paths from the same conditional Gaussian.
+//! The loop runs on the conditioning kernel of [`crate::predictor`], the
+//! same one Algorithm 3's Steps 3–4 ([`crate::hybrid`]) and the clustered
+//! repair ([`crate::cluster`]) run, and the returned predictor is built
+//! from the kernel the loop leaves behind.
 
-use crate::predictor::MeasurementPredictor;
+use crate::predictor::{Columns, Conditioning, MeasurementPredictor};
 use crate::CoreError;
-use pathrep_linalg::{vecops, Matrix};
-
-/// A measured row whose conditioned variance is at most this fraction of
-/// its own is linearly dependent on the rows measured before it, and adds
-/// no pivot column.
-const DEPENDENT_PIVOT: f64 = 1e-10;
-
-/// Pivoted conditioning of the target paths on measured rows. Row `i < n`
-/// of `M` is target `i`; row `n + s` is row `s` of `extra`. Every method
-/// fails only on a [`CoreError::Linalg`] width mismatch of the two.
-pub(crate) struct Conditioning<'a> {
-    targets: &'a Matrix,
-    extra: &'a Matrix,
-    /// Largest variance a prediction may keep: `(ε·T_cons/κ)²`.
-    budget: f64,
-    /// Pivot columns `L_:p` of the partial Cholesky factor of `K`.
-    pivots: Vec<Vec<f64>>,
-    /// `diag(K) − Σ_p L_:p²`: each row's variance given the measured rows.
-    variance: Vec<f64>,
-    /// Which targets are measured.
-    measured: Vec<bool>,
-}
-
-impl<'a> Conditioning<'a> {
-    /// Conditions `targets` on the measured non-target rows `extra`.
-    pub(crate) fn new(
-        targets: &'a Matrix,
-        extra: &'a Matrix,
-        budget: f64,
-    ) -> Result<Self, CoreError> {
-        let (n, m) = (targets.nrows(), extra.nrows());
-        let rows = (0..n)
-            .map(|i| targets.row(i))
-            .chain((0..m).map(|s| extra.row(s)));
-        let mut kernel = Conditioning {
-            targets,
-            extra,
-            budget,
-            pivots: Vec::new(),
-            variance: rows.map(|r| vecops::dot(r, r)).collect(),
-            measured: vec![false; n],
-        };
-        kernel.condition(&(n..n + m).collect::<Vec<_>>())?;
-        Ok(kernel)
-    }
-
-    fn row(&self, i: usize) -> &'a [f64] {
-        match i.checked_sub(self.targets.nrows()) {
-            None => self.targets.row(i),
-            Some(s) => self.extra.row(s),
-        }
-    }
-
-    /// Conditions on the rows `rows` of `M`, in order, with the columns
-    /// `K_:j = M·M_jᵀ` from one product. A row dependent on those measured
-    /// before it adds no pivot, but still counts as measured.
-    pub(crate) fn condition(&mut self, rows: &[usize]) -> Result<(), CoreError> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let picked_t = Matrix::from_fn(self.targets.ncols(), rows.len(), |c, q| {
-            self.row(rows[q])[c]
-        });
-        let cross = self
-            .targets
-            .matmul(&picked_t)?
-            .vstack(&self.extra.matmul(&picked_t)?)?;
-        for (q, &j) in rows.iter().enumerate() {
-            if let Some(m) = self.measured.get_mut(j) {
-                *m = true;
-            }
-            let mut col = cross.col(q);
-            for l in &self.pivots {
-                vecops::axpy(-l[j], l, &mut col);
-            }
-            let pivot = col[j];
-            let row = self.row(j);
-            if pivot > DEPENDENT_PIVOT * vecops::dot(row, row) {
-                let scale = pivot.sqrt().recip();
-                for (v, c) in self.variance.iter_mut().zip(col.iter_mut()) {
-                    *c *= scale;
-                    *v -= *c * *c;
-                }
-                self.pivots.push(col);
-            }
-        }
-        Ok(())
-    }
-
-    /// Every unmeasured target whose variance exceeds the budget, in index
-    /// order. A NaN variance never does.
-    pub(crate) fn over_budget(&self) -> Vec<usize> {
-        (0..self.measured.len())
-            .filter(|&i| !self.measured[i] && self.variance[i] > self.budget)
-            .collect()
-    }
-
-    /// Measures the over-budget target with the largest variance (ties to
-    /// the lowest index) until none is left; returns the picks in order.
-    /// Each pick marks a target measured, so this ends within `n` picks.
-    pub(crate) fn greedy(&mut self) -> Result<Vec<usize>, CoreError> {
-        let mut added = Vec::new();
-        // `max_by` keeps the last of equal maxima: scan from the top index.
-        while let Some(j) = (self.over_budget().into_iter().rev())
-            .max_by(|&w, &i| self.variance[w].total_cmp(&self.variance[i]))
-        {
-            self.condition(&[j])?;
-            added.push(j);
-        }
-        Ok(added)
-    }
-}
+use pathrep_linalg::Matrix;
 
 /// Result of greedy selection.
 #[derive(Debug, Clone)]
@@ -144,12 +28,13 @@ pub struct GreedySelection {
 }
 
 /// Greedily selects representative paths until `κ·std ≤ ε·T_cons` for every
-/// remaining path (or everything is selected).
+/// remaining path (or everything is selected). When no path is over budget
+/// the selection is empty and the predictor returns the means.
 ///
 /// # Errors
 ///
 /// * [`CoreError::InvalidArgument`] for inconsistent inputs.
-/// * [`CoreError::Linalg`] if the final predictor construction fails.
+/// * [`CoreError::Linalg`] on a shape mismatch in the conditioning kernel.
 pub fn greedy_select(
     a: &Matrix,
     mu: &[f64],
@@ -169,17 +54,13 @@ pub fn greedy_select(
         });
     }
     let none = Matrix::zeros(0, a.ncols());
-    let mut selected = Conditioning::new(a, &none, (epsilon * t_cons / kappa).powi(2))?.greedy()?;
-    if selected.is_empty() {
-        // Even with zero measurements every path is within budget; keep one
-        // representative so the protocol is non-degenerate.
-        selected.push(0);
-    }
-
-    let cross = a.matmul(&a.select_rows(&selected).transpose())?;
-    let diag: Vec<f64> = (0..n).map(|i| vecops::dot(a.row(i), a.row(i))).collect();
-    let (predictor, remaining) =
-        MeasurementPredictor::from_cross_gram(&cross, &diag, mu, &selected, kappa)?;
+    let columns = Columns::Rows {
+        targets: a,
+        extra: &none,
+    };
+    let mut kernel = Conditioning::new(columns, 0.0)?;
+    let selected = kernel.greedy((epsilon * t_cons / kappa).powi(2))?;
+    let (predictor, remaining) = kernel.predictor(&selected, mu, kappa);
     Ok(GreedySelection {
         selected,
         remaining,
@@ -192,6 +73,7 @@ pub fn greedy_select(
 mod tests {
     use super::*;
     use crate::approx::{approx_select, ApproxConfig};
+    use pathrep_linalg::vecops;
     use rand::{Rng, SeedableRng};
 
     fn random_model(n: usize, nx: usize, seed: u64) -> (Matrix, Vec<f64>) {
@@ -229,19 +111,20 @@ mod tests {
     /// `predictor.stds()²` within `1e-12·‖a_i‖²`. Returns the pivot count,
     /// below the measured-row count when dependent rows were skipped.
     fn check(a: &Matrix, extra: &Matrix, paths: &[usize], p: &MeasurementPredictor) -> usize {
-        let mut kernel = Conditioning::new(a, extra, 0.0).unwrap();
+        let columns = Columns::Rows { targets: a, extra };
+        let mut kernel = Conditioning::new(columns, 0.0).unwrap();
         kernel.condition(paths).unwrap();
         let remaining = (0..a.nrows()).filter(|i| !paths.contains(i));
         assert_eq!(remaining.clone().count(), p.stds().len());
         for (&std, i) in p.stds().iter().zip(remaining) {
-            let gap = (kernel.variance[i] - std * std).abs();
+            let gap = (kernel.variance()[i] - std * std).abs();
             let scale = vecops::dot(a.row(i), a.row(i));
             assert!(
                 gap <= 1e-12 * scale,
                 "path {i}: gap {gap:e}, ‖a_i‖² {scale:e}"
             );
         }
-        kernel.pivots.len()
+        kernel.pivot_count()
     }
 
     #[test]
@@ -303,10 +186,16 @@ mod tests {
     }
 
     #[test]
-    fn loose_tolerance_selects_one() {
+    fn loose_tolerance_selects_none() {
         let (a, mu) = random_model(10, 14, 4);
         let sel = greedy_select(&a, &mu, 10.0, 600.0, 3.0).unwrap();
-        assert_eq!(sel.selected.len(), 1);
+        assert!(sel.selected.is_empty());
+        assert_eq!(sel.remaining, (0..10).collect::<Vec<_>>());
+        // The empty plan predicts the means, with the prior stds ‖a_i‖.
+        assert_eq!(sel.predictor.predict(&[]).unwrap(), mu);
+        for (i, &std) in sel.predictor.stds().iter().enumerate() {
+            assert_eq!(std, vecops::norm2(a.row(i)), "path {i}");
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! 4. Measure `S_r1 ∪ P_r2` jointly and predict the rest; while some
 //!    path's error still exceeds `ε`, add the worst-predicted one to `P_r2`.
 //!
-//! Steps 3–4 run the conditioning kernel of [`crate::greedy`], and the
-//! joint Theorem-2 predictor is built once, at the end. No recorded run
-//! adds a path in Steps 3–4: `|P_r| = 0` on all 10 full Table 2 rows, the
-//! 3 `--fast` rows and the 6 random-scale rows (`results/`).
+//! Steps 3–4 run the conditioning kernel of [`crate::predictor`], and the
+//! joint Theorem-2 predictor is built from that same kernel, at the end.
+//! No recorded run adds a path in Steps 3–4: `|P_r| = 0` on all 10 full
+//! Table 2 rows, the 3 `--fast` rows and the 6 random-scale rows
+//! (`results/`).
 //!
 //! Since the design-stage selection can be parallelized, the paper sweeps
 //! `ε′` and keeps the candidate minimizing `|P_r| + |S_r|`;
@@ -20,8 +21,7 @@
 
 use crate::exact::exact_select_with;
 use crate::factors::ModelFactors;
-use crate::greedy::Conditioning;
-use crate::predictor::MeasurementPredictor;
+use crate::predictor::{Columns, Conditioning, MeasurementPredictor};
 use crate::select::Selection;
 use crate::CoreError;
 use pathrep_convopt::{solve_linearized_admm, AdmmConfig, GroupSelectProblem, GroupSelectSolution};
@@ -241,31 +241,27 @@ fn select_from_exact(
     let n = inputs.a.nrows();
     let seg_sens = inputs.sigma.select_rows(&segments);
     let budget = (config.epsilon * config.t_cons / config.kappa).powi(2);
-    let mut kernel = Conditioning::new(inputs.a, &seg_sens, budget)?;
+    let columns = Columns::Rows {
+        targets: inputs.a,
+        extra: &seg_sens,
+    };
+    let mut kernel = Conditioning::new(columns, 0.0)?;
     // Step 3: measure every path the segments leave over budget, at once.
-    let mut paths = kernel.over_budget();
+    let mut paths = kernel.over_budget(budget);
     kernel.condition(&paths)?;
     // Step 4: measure the worst-predicted path until none is over budget.
-    let repair = kernel.greedy()?;
+    let repair = kernel.greedy(budget)?;
     let repair_iterations = repair.len();
     paths.extend(repair);
     paths.sort_unstable();
 
-    let remaining: Vec<usize> = (0..n).filter(|i| paths.binary_search(i).is_err()).collect();
-    let meas_sens = seg_sens.vstack(&inputs.a.select_rows(&paths))?;
-    let meas_mu: Vec<f64> = segments
-        .iter()
-        .map(|&s| inputs.mu_segments[s])
-        .chain(paths.iter().map(|&p| inputs.mu_paths[p]))
+    // The joint predictor reads `[d_Sr ; d_Pr]`; row n + s of the kernel's
+    // `M` is segment `segments[s]`.
+    let measured: Vec<usize> = (n..n + segments.len()).chain(paths.iter().copied()).collect();
+    let mu: Vec<f64> = (inputs.mu_paths.iter().copied())
+        .chain(segments.iter().map(|&s| inputs.mu_segments[s]))
         .collect();
-    let target_mu: Vec<f64> = remaining.iter().map(|&i| inputs.mu_paths[i]).collect();
-    let predictor = MeasurementPredictor::new(
-        &inputs.a.select_rows(&remaining),
-        &target_mu,
-        &meas_sens,
-        &meas_mu,
-        config.kappa,
-    )?;
+    let (predictor, remaining) = kernel.predictor(&measured, &mu, config.kappa);
     let epsilon_r = predictor.epsilon(config.t_cons);
 
     pathrep_obs::counter_add("core.hybrid.selections", 1);

@@ -11,12 +11,13 @@
 //!   singular factor alone;
 //! * [`predictor`] — Theorem 2: the optimal (conditional-mean) linear
 //!   predictor from measured delays to unmeasured ones, with the analytic
-//!   worst-case prediction error of Eqns 6-7;
+//!   worst-case prediction error of Eqns 6-7, from the crate's one
+//!   conditioning kernel (a partial pivoted Cholesky);
 //! * [`exact`] — Theorem 1: exact selection with `r = rank(A)`;
 //! * [`approx`] — Algorithm 1: approximate selection under an error
 //!   tolerance `epsilon`, driven by the effective rank of `A`;
 //! * [`sketch`] — the same two selections on a sparse `A`, over a seeded
-//!   sketched SVD and the thin cross-Gram `A·A_selᵀ`;
+//!   sketched SVD and the Gram columns `A·A_selᵀ`;
 //! * [`hybrid`] — Algorithm 3: hybrid path/segment selection using the
 //!   convex group-selection program of `pathrep-convopt`;
 //! * [`guardband`] — Section 6.3: guard-band analysis for post-silicon
@@ -24,12 +25,11 @@
 //!
 //! The exact, approximate and sketched front ends run one private search
 //! and return one [`Selection`]; they differ only in where the left
-//! singular subspace and the Gram blocks `G[·, selected]` come from (a
+//! singular subspace and the Gram columns `G[·, selected]` come from (a
 //! dense SVD plus the precomputed Gram, or a sketch plus sparse products).
 
 pub mod approx;
 pub mod cluster;
-pub mod diagnosis;
 pub mod greedy;
 pub mod error;
 pub mod factors;
@@ -43,7 +43,6 @@ pub mod subset;
 
 pub use approx::{approx_select, Schedule};
 pub use cluster::{clustered_select, ClusterConfig, ClusteredSelection};
-pub use diagnosis::{Diagnoser, VariationDiagnosis};
 pub use error::CoreError;
 pub use greedy::{greedy_select, GreedySelection};
 pub use factors::ModelFactors;

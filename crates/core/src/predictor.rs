@@ -1,47 +1,272 @@
-//! Theorem 2: the optimal linear predictor and its analytic error.
+//! Theorem 2: the optimal linear predictor and its analytic error, from
+//! one conditional-Gaussian solve.
 //!
 //! With all variables standard normal, the minimum-mean-square-error linear
 //! predictor of the unmeasured delays `d_m` from measured delays `d_r` is
 //!
 //! ```text
-//! d̂_m = µ_m + A_m A_rᵀ (A_r A_rᵀ)⁺ (d_r − µ_r)
+//! d̂_m = µ_m + A_m A_rᵀ (A_r A_rᵀ)⁻¹ (d_r − µ_r)
 //! ```
 //!
-//! and the prediction error `Δ = d̂_m − d_m = Ω x` is zero-mean Gaussian
-//! with per-path standard deviation given by the rows of
-//! `Ω = coef·A_r − A_m`. The worst case used for guard-banding is
-//! `WC(Δᵢ) = κ·std(Δᵢ)` (the paper's `WC(·)`; κ = 3 by default).
+//! and the prediction error `Δ = d̂_m − d_m` is zero-mean Gaussian with
+//! variance the conditional variance of `d_m` given `d_r`. The worst case
+//! used for guard-banding is `WC(Δᵢ) = κ·std(Δᵢ)` (the paper's `WC(·)`;
+//! κ = 3 by default).
+//!
+//! Every predictor in this crate comes from [`Conditioning`]: a partial
+//! pivoted Cholesky of the covariance `K` of the rows of `M` (targets, then
+//! any measured non-target rows such as segments of `Σ`), conditioned on
+//! the measured rows one at a time. It keeps only its `k` pivot columns,
+//! never the full `K`, and leaves each target's conditional variance, the
+//! Theorem-2 `std²`, on its diagonal. Its caller supplies `K`'s columns
+//! ([`Columns`]): a column slice of the dense Gram, a sparse product
+//! `A·A_selᵀ`, or `M·M_jᵀ`. The coefficients `L_rem,P·L_PP⁻¹` take one
+//! triangular solve, and only the predictor a caller keeps builds them.
+//! EffiTest predicts its untested paths from the same conditional Gaussian.
 
 use crate::CoreError;
-use pathrep_linalg::cholesky::Cholesky;
-use pathrep_linalg::lstsq;
+use pathrep_linalg::sparse::SparseMatrix;
 use pathrep_linalg::{vecops, Matrix};
 
 /// Default worst-case multiplier κ (three-sigma, 99.87 % one-sided).
 pub const DEFAULT_KAPPA: f64 = 3.0;
 
-/// Relative singular-value cutoff for the pseudo-inverse.
-const PINV_TOL: f64 = 1e-10;
+/// A measured row whose conditioned variance is at most this fraction of
+/// its own is linearly dependent on the rows measured before it, and adds
+/// no pivot column.
+const DEPENDENT_PIVOT: f64 = 1e-10;
 
-/// Solves `X·G = R` (i.e. `X = R·G⁻¹`) for a symmetric PSD `G`, using a
-/// jittered Cholesky factorization and falling back to the SVD
-/// pseudo-inverse when `G` is numerically singular beyond the jitter's
-/// reach. This is the hot kernel of Algorithm 1's per-candidate error
-/// evaluation, where an SVD per candidate would dominate the runtime.
-fn solve_right_psd(gram: &Matrix, rhs: &Matrix) -> Result<Matrix, CoreError> {
-    let n = gram.nrows();
-    let mean_diag = (0..n).map(|i| gram[(i, i)].abs()).sum::<f64>() / n.max(1) as f64;
-    let jitter = 1e-10 * mean_diag.max(1e-30);
-    match Cholesky::compute_with_jitter(gram, jitter, 6) {
-        Ok(ch) => {
-            // X·G = R ⟺ G·Xᵀ = Rᵀ (G symmetric).
-            let xt = ch.solve_matrix(&rhs.transpose())?;
-            Ok(xt.transpose())
+/// The paper's aggregate error `max_i κ·stdᵢ/T_cons` (Eqn 7), zero with no
+/// targets.
+fn worst_case(stds: &[f64], kappa: f64, t_cons: f64) -> f64 {
+    stds.iter().map(|s| kappa * s / t_cons).fold(0.0, f64::max)
+}
+
+/// Where the columns `K_:J` of the covariance of the rows of `M` come from.
+pub(crate) enum Columns<'a> {
+    /// `M = A`, with the dense Gram `G = A·Aᵀ` precomputed: `K_:j = G_:j`.
+    Gram(&'a Matrix),
+    /// `M = A`, sparse: `K_:J = A·A_Jᵀ`, so the `n × n` Gram never exists.
+    Sparse(&'a SparseMatrix),
+    /// `M = [targets; extra]`: `K_:J = M·M_Jᵀ`. Every row of `targets` is a
+    /// target; the rows of `extra` are measured, never predicted.
+    Rows {
+        targets: &'a Matrix,
+        extra: &'a Matrix,
+    },
+}
+
+impl Columns<'_> {
+    /// Rows of `M` that are targets; the rest are measured non-targets.
+    fn targets(&self) -> usize {
+        match self {
+            Columns::Gram(g) => g.nrows(),
+            Columns::Sparse(a) => a.nrows(),
+            Columns::Rows { targets, .. } => targets.nrows(),
         }
-        Err(_) => {
-            let pinv = lstsq::pseudo_inverse(gram, PINV_TOL)?;
-            Ok(rhs.matmul(&pinv)?)
+    }
+
+    /// `diag(K)`: each row's own variance. For `Rows` it is the square of
+    /// the scaled norm `‖row‖`, so a target no measurement informs keeps
+    /// `std = √(‖row‖²) = ‖row‖` exactly (`√(x·x) = |x|` in binary
+    /// floating point).
+    fn diag(&self) -> Vec<f64> {
+        match self {
+            Columns::Gram(g) => (0..g.nrows()).map(|i| g[(i, i)]).collect(),
+            Columns::Sparse(a) => a.gram_diag(),
+            Columns::Rows { targets, extra } => (0..targets.nrows())
+                .map(|i| targets.row(i))
+                .chain((0..extra.nrows()).map(|s| extra.row(s)))
+                .map(|r| vecops::norm2(r).powi(2))
+                .collect(),
         }
+    }
+
+    /// The columns `K_:j` for `j` in `rows`, in order.
+    fn get(&self, rows: &[usize]) -> Result<Vec<Vec<f64>>, CoreError> {
+        let product = match self {
+            Columns::Gram(g) => return Ok(rows.iter().map(|&j| g.col(j)).collect()),
+            Columns::Sparse(a) => a.matmul_dense(&a.select_rows_dense(rows)?.transpose())?,
+            Columns::Rows { targets, extra } => {
+                let n = targets.nrows();
+                let picked_t = Matrix::from_fn(targets.ncols(), rows.len(), |c, q| {
+                    match rows[q].checked_sub(n) {
+                        None => targets[(rows[q], c)],
+                        Some(s) => extra[(s, c)],
+                    }
+                });
+                targets.matmul(&picked_t)?.vstack(&extra.matmul(&picked_t)?)?
+            }
+        };
+        Ok((0..rows.len()).map(|q| product.col(q)).collect())
+    }
+}
+
+/// Pivoted conditioning of the target rows of `M` on its measured rows,
+/// with measurement-noise variance `σ²` added to each measured row's pivot.
+/// Every method fails only on a [`CoreError::Linalg`] shape mismatch of
+/// the [`Columns`].
+pub(crate) struct Conditioning<'a> {
+    columns: Columns<'a>,
+    /// `σ²` of each measurement.
+    noise: f64,
+    /// `diag(K)`, against which a pivot is judged dependent.
+    diag: Vec<f64>,
+    /// Pivot columns `L_:p` of the partial Cholesky factor of `K + σ²·I_P`.
+    pivots: Vec<Vec<f64>>,
+    /// The row of `M` each pivot conditioned on.
+    pivot_rows: Vec<usize>,
+    /// `diag(K) − Σ_p L_:p²`: each target's variance given the measured rows.
+    variance: Vec<f64>,
+    /// Which targets are measured.
+    measured: Vec<bool>,
+}
+
+impl<'a> Conditioning<'a> {
+    /// Conditions the targets of `columns` on all of its measured
+    /// non-target rows, each carrying noise of variance `noise`.
+    pub(crate) fn new(columns: Columns<'a>, noise: f64) -> Result<Self, CoreError> {
+        let diag = columns.diag();
+        let n = columns.targets();
+        let mut kernel = Conditioning {
+            columns,
+            noise,
+            variance: diag.clone(),
+            diag,
+            pivots: Vec::new(),
+            pivot_rows: Vec::new(),
+            measured: vec![false; n],
+        };
+        kernel.condition(&(n..kernel.diag.len()).collect::<Vec<_>>())?;
+        Ok(kernel)
+    }
+
+    /// Conditions on the rows `rows` of `M`, in order, with their columns
+    /// from one [`Columns::get`]. A row dependent on those measured before
+    /// it adds no pivot, but still counts as measured.
+    pub(crate) fn condition(&mut self, rows: &[usize]) -> Result<(), CoreError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        for (mut col, &j) in self.columns.get(rows)?.into_iter().zip(rows) {
+            if let Some(m) = self.measured.get_mut(j) {
+                *m = true;
+            }
+            for l in &self.pivots {
+                vecops::axpy(-l[j], l, &mut col);
+            }
+            col[j] += self.noise;
+            let pivot = col[j];
+            if pivot > DEPENDENT_PIVOT * self.diag[j] {
+                let scale = pivot.sqrt().recip();
+                for (v, c) in self.variance.iter_mut().zip(col.iter_mut()) {
+                    *c *= scale;
+                    *v -= *c * *c;
+                }
+                self.pivots.push(col);
+                self.pivot_rows.push(j);
+            }
+        }
+        Ok(())
+    }
+
+    /// Every unmeasured target whose variance exceeds `budget`, in index
+    /// order. A NaN variance never does.
+    pub(crate) fn over_budget(&self, budget: f64) -> Vec<usize> {
+        (0..self.measured.len())
+            .filter(|&i| !self.measured[i] && self.variance[i] > budget)
+            .collect()
+    }
+
+    /// Measures the over-budget target with the largest variance (ties to
+    /// the lowest index) until none is left; returns the picks in order.
+    /// Each pick marks a target measured, so this ends within `n` picks.
+    pub(crate) fn greedy(&mut self, budget: f64) -> Result<Vec<usize>, CoreError> {
+        let mut added = Vec::new();
+        // `max_by` keeps the last of equal maxima: scan from the top index.
+        while let Some(j) = (self.over_budget(budget).into_iter().rev())
+            .max_by(|&w, &i| self.variance[w].total_cmp(&self.variance[i]))
+        {
+            self.condition(&[j])?;
+            added.push(j);
+        }
+        Ok(added)
+    }
+
+    /// The unmeasured targets, in index order.
+    fn remaining(&self) -> Vec<usize> {
+        (0..self.measured.len()).filter(|&i| !self.measured[i]).collect()
+    }
+
+    /// Theorem-2 prediction stds of the unmeasured targets, in index order.
+    fn stds(&self, remaining: &[usize]) -> Vec<f64> {
+        remaining
+            .iter()
+            .map(|&i| self.variance[i].max(0.0).sqrt())
+            .collect()
+    }
+
+    /// `max_i κ·stdᵢ/T_cons` over the unmeasured targets: the `ε_r` of
+    /// [`Conditioning::predictor`], without building its coefficients.
+    pub(crate) fn epsilon(&self, kappa: f64, t_cons: f64) -> f64 {
+        worst_case(&self.stds(&self.remaining()), kappa, t_cons)
+    }
+
+    /// The Theorem-2 predictor of the unmeasured targets (returned in index
+    /// order) from the rows `measured` of `M`, which must be the rows this
+    /// kernel conditioned on, in the order the measurements will arrive.
+    /// `mu` holds the mean of every row of `M`. The coefficients are
+    /// `L_rem,P·L_PP⁻¹`, one triangular solve per target; a dependent
+    /// measured row gets coefficient 0.
+    pub(crate) fn predictor(
+        &self,
+        measured: &[usize],
+        mu: &[f64],
+        kappa: f64,
+    ) -> (MeasurementPredictor, Vec<usize>) {
+        let remaining = self.remaining();
+        let k = self.pivots.len();
+        // Row p of L_PPᵀ: pivot column p at the pivot rows.
+        let lt = Matrix::from_fn(k, k, |p, q| self.pivots[p][self.pivot_rows[q]]);
+        let slots: Vec<Option<usize>> = measured
+            .iter()
+            .map(|j| self.pivot_rows.iter().position(|r| r == j))
+            .collect();
+        let mut coef = Matrix::zeros(remaining.len(), measured.len());
+        let mut x = vec![0.0; k];
+        for (t, &i) in remaining.iter().enumerate() {
+            // x·L_PP = L_iP, by back substitution.
+            for p in (0..k).rev() {
+                let s = self.pivots[p][i] - vecops::dot(&x[p + 1..], &lt.row(p)[p + 1..]);
+                x[p] = s / lt[(p, p)];
+            }
+            for (c, slot) in coef.row_mut(t).iter_mut().zip(&slots) {
+                if let Some(p) = *slot {
+                    *c = x[p];
+                }
+            }
+        }
+        let predictor = MeasurementPredictor {
+            coef,
+            meas_mu: measured.iter().map(|&j| mu[j]).collect(),
+            target_mu: remaining.iter().map(|&i| mu[i]).collect(),
+            stds: self.stds(&remaining),
+            kappa,
+        };
+        (predictor, remaining)
+    }
+}
+
+#[cfg(test)]
+impl Conditioning<'_> {
+    /// `diag(K) − Σ_p L_:p²` over every row of `M`.
+    pub(crate) fn variance(&self) -> &[f64] {
+        &self.variance
+    }
+
+    /// Number of pivots: the measured rows that were not dependent.
+    pub(crate) fn pivot_count(&self) -> usize {
+        self.pivots.len()
     }
 }
 
@@ -60,12 +285,12 @@ impl MeasurementPredictor {
     /// Builds the predictor from explicit sensitivity matrices:
     /// targets have `d_t = target_mu + target_sens·x`, measurements
     /// `d_m = meas_mu + meas_sens·x`. With no measurements the prediction
-    /// is the mean, and `std_i = ‖target row i‖`.
+    /// is the mean, and `std_i = ‖target row i‖`. A measurement linearly
+    /// dependent on those before it gets coefficient 0.
     ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidArgument`] on dimension mismatches or κ ≤ 0.
-    /// * [`CoreError::Linalg`] if the pseudo-inverse fails.
     pub fn new(
         target_sens: &Matrix,
         target_mu: &[f64],
@@ -80,7 +305,7 @@ impl MeasurementPredictor {
     /// carries iid Gaussian noise of standard deviation `noise_sigma` ps
     /// (the paper assumes exact measurement; real scan structures do not
     /// deliver it). The MMSE coefficients become
-    /// `A_t Mᵀ (M Mᵀ + σ²I)⁺` and the prediction error gains the
+    /// `A_t Mᵀ (M Mᵀ + σ²I)⁻¹` and the prediction error gains the
     /// propagated-noise term `σ²‖coef row‖²`.
     ///
     /// With `noise_sigma = 0` this is exactly [`MeasurementPredictor::new`].
@@ -117,126 +342,15 @@ impl MeasurementPredictor {
                 what: "mean vectors must match sensitivity row counts".into(),
             });
         }
-        if meas_sens.nrows() == 0 {
-            return Ok(MeasurementPredictor {
-                coef: Matrix::zeros(target_sens.nrows(), 0),
-                meas_mu: Vec::new(),
-                target_mu: target_mu.to_vec(),
-                stds: (0..target_sens.nrows())
-                    .map(|i| vecops::norm2(target_sens.row(i)))
-                    .collect(),
-                kappa,
-            });
-        }
-        // coef = A_t Mᵀ (M Mᵀ + σ²I)⁺
-        let cross = target_sens.matmul(&meas_sens.transpose())?;
-        let mut gram = meas_sens.matmul(&meas_sens.transpose())?;
-        for i in 0..gram.nrows() {
-            gram[(i, i)] += noise_sigma * noise_sigma;
-        }
-        let coef = solve_right_psd(&gram, &cross)?;
-        // Ω = coef·M − A_t; Var(Δᵢ) = ‖row(Ω)‖² + σ²‖row(coef)‖².
-        let omega = coef.matmul(meas_sens)?.sub(target_sens)?;
-        let stds: Vec<f64> = (0..omega.nrows())
-            .map(|i| {
-                let model = vecops::norm2(omega.row(i));
-                if noise_sigma == 0.0 {
-                    return model;
-                }
-                (model.powi(2) + (noise_sigma * vecops::norm2(coef.row(i))).powi(2)).sqrt()
-            })
-            .collect();
-        Ok(MeasurementPredictor {
-            coef,
-            meas_mu: meas_mu.to_vec(),
-            target_mu: target_mu.to_vec(),
-            stds,
-            kappa,
-        })
-    }
-
-    /// Builds the path-subset predictor (Theorem 2 exactly) from the
-    /// *thin* cross-Gram block `C = G[·, selected] = A·A_selᵀ` (`n × r`,
-    /// columns in `selected` order) plus the diagonal of the full Gram
-    /// `G = A·Aᵀ` (`diag[i] = ‖row i of A‖²`), and the full mean vector.
-    ///
-    /// This avoids touching `A` itself: everything Algorithm 1 needs per
-    /// candidate `r` comes from `C` — a column slice of a precomputed `G`
-    /// in the dense pipeline, a sparse product in the sketched one, so the
-    /// full `n × n` Gram need never exist. The resulting predictor maps
-    /// measured delays (in `selected` order) to the *remaining* paths,
-    /// whose indices are returned alongside.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidArgument`] on bad indices / shapes / κ.
-    /// * [`CoreError::Linalg`] if the pseudo-inverse fails.
-    pub fn from_cross_gram(
-        cross: &Matrix,
-        diag: &[f64],
-        mu: &[f64],
-        selected: &[usize],
-        kappa: f64,
-    ) -> Result<(Self, Vec<usize>), CoreError> {
-        if kappa <= 0.0 {
-            return Err(CoreError::InvalidArgument {
-                what: "kappa must be positive".into(),
-            });
-        }
-        let n = cross.nrows();
-        if cross.ncols() != selected.len() {
-            return Err(CoreError::InvalidArgument {
-                what: format!(
-                    "cross-gram has {} columns but {} selected rows",
-                    cross.ncols(),
-                    selected.len()
-                ),
-            });
-        }
-        if mu.len() != n || diag.len() != n {
-            return Err(CoreError::InvalidArgument {
-                what: "cross-gram rows must match the mean and diagonal vectors".into(),
-            });
-        }
-        let mut is_sel = vec![false; n];
-        for &s in selected {
-            if s >= n {
-                return Err(CoreError::InvalidArgument {
-                    what: format!("selected index {s} out of range"),
-                });
-            }
-            if std::mem::replace(&mut is_sel[s], true) {
-                return Err(CoreError::InvalidArgument {
-                    what: format!("selected index {s} repeated"),
-                });
-            }
-        }
-        let remaining: Vec<usize> = (0..n).filter(|&i| !is_sel[i]).collect();
-        // G_rr and G_mr are row-slices of the thin cross block: column j of
-        // `cross` is already G[·, selected[j]].
-        let g_rr = cross.select_rows(selected);
-        let g_mr = cross.select_rows(&remaining);
-        let coef = solve_right_psd(&g_rr, &g_mr)?;
-        let stds: Vec<f64> = remaining
-            .iter()
-            .enumerate()
-            .map(|(k, &mi)| {
-                let quad = vecops::dot(coef.row(k), g_mr.row(k));
-                (diag[mi] - quad).max(0.0).sqrt()
-            })
-            .collect();
-        let meas_mu: Vec<f64> = selected.iter().map(|&i| mu[i]).collect();
-        let target_mu: Vec<f64> = remaining.iter().map(|&i| mu[i]).collect();
-        Ok((
-            MeasurementPredictor {
-                coef,
-                meas_mu,
-                target_mu,
-                stds,
-                kappa,
-            },
-            remaining,
-        ))
+        let columns = Columns::Rows {
+            targets: target_sens,
+            extra: meas_sens,
+        };
+        let kernel = Conditioning::new(columns, noise_sigma * noise_sigma)?;
+        let n = target_sens.nrows();
+        let measured: Vec<usize> = (n..n + meas_sens.nrows()).collect();
+        let mu: Vec<f64> = target_mu.iter().chain(meas_mu).copied().collect();
+        Ok(kernel.predictor(&measured, &mu, kappa).0)
     }
 
     /// Reassembles a predictor from previously serialized parts (the
@@ -402,10 +516,7 @@ impl MeasurementPredictor {
     /// Panics if `t_cons` is not positive.
     pub fn epsilon(&self, t_cons: f64) -> f64 {
         assert!(t_cons > 0.0, "timing constraint must be positive");
-        self.stds
-            .iter()
-            .map(|s| self.kappa * s / t_cons)
-            .fold(0.0, f64::max)
+        worst_case(&self.stds, self.kappa, t_cons)
     }
 
     /// Number of measurements the predictor consumes.
@@ -456,41 +567,6 @@ mod tests {
         (a, mu)
     }
 
-    /// `G[·, selected]` and the Gram diagonal of the Figure-1 model.
-    fn cross_gram(a: &Matrix, selected: &[usize]) -> (Matrix, Vec<f64>) {
-        let gram = a.matmul(&a.transpose()).unwrap();
-        let diag = (0..gram.nrows()).map(|i| gram[(i, i)]).collect();
-        (gram.select_cols(selected), diag)
-    }
-
-    #[test]
-    fn from_cross_gram_rejects_inconsistent_shapes() {
-        let (a, mu) = figure1_a();
-        let (cross, diag) = cross_gram(&a, &[1, 3]);
-        // Column count must match the selected count.
-        assert!(
-            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1], DEFAULT_KAPPA).is_err()
-        );
-        // Diagonal must cover every row.
-        assert!(MeasurementPredictor::from_cross_gram(
-            &cross,
-            &diag[..2],
-            &mu,
-            &[1, 3],
-            DEFAULT_KAPPA
-        )
-        .is_err());
-        // Out-of-range and repeated indices rejected.
-        assert!(
-            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1, 9], DEFAULT_KAPPA)
-                .is_err()
-        );
-        assert!(
-            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1, 1], DEFAULT_KAPPA)
-                .is_err()
-        );
-    }
-
     #[test]
     fn exact_recovery_with_rank_many_measurements() {
         // rank(A) = 3: measuring paths 2, 3, 4 predicts path 1 exactly
@@ -507,32 +583,114 @@ mod tests {
         assert!((d[0] - (mu[0] + 2.0 + 1.0 + 0.5)).abs() < 1e-9);
     }
 
+    /// An 8-path model over 6 variables with no exact dependence.
+    fn dense_model() -> (Matrix, Vec<f64>) {
+        let a = Matrix::from_fn(8, 6, |i, j| {
+            ((i * 7 + j * 3) as f64 * 0.37).sin() + if i % 6 == j { 1.5 } else { 0.0 }
+        });
+        (a, (0..8).map(|i| 400.0 + 3.0 * i as f64).collect())
+    }
+
     #[test]
-    fn gram_constructor_matches_direct() {
-        let (a, mu) = figure1_a();
-        let (cross, diag) = cross_gram(&a, &[1, 3]);
-        let (pg, remaining) =
-            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1, 3], DEFAULT_KAPPA)
-                .unwrap();
-        assert_eq!(remaining, vec![0, 2]);
-        let meas = a.select_rows(&[1, 3]);
-        let target = a.select_rows(&[0, 2]);
-        let pd = MeasurementPredictor::new(
-            &target,
-            &[mu[0], mu[2]],
-            &meas,
-            &[mu[1], mu[3]],
+    fn kernel_matches_cholesky_reference() {
+        use pathrep_linalg::cholesky::Cholesky;
+        let (a, mu) = dense_model();
+        let (meas_idx, target_idx) = ([5usize, 0, 3], [1usize, 2, 4, 6, 7]);
+        let pick = |idx: &[usize]| -> Vec<f64> { idx.iter().map(|&i| mu[i]).collect() };
+        let p = MeasurementPredictor::new(
+            &a.select_rows(&target_idx),
+            &pick(&target_idx),
+            &a.select_rows(&meas_idx),
+            &pick(&meas_idx),
             DEFAULT_KAPPA,
         )
         .unwrap();
-        for (s1, s2) in pg.stds().iter().zip(pd.stds().iter()) {
-            assert!((s1 - s2).abs() < 1e-9, "stds disagree: {s1} vs {s2}");
+        // Reference: coef_t = G_PP⁻¹·G_Pt and std_t² = G_tt − coef_t·G_Pt.
+        let gram = a.matmul(&a.transpose()).unwrap();
+        let g_pp = Matrix::from_fn(3, 3, |r, c| gram[(meas_idx[r], meas_idx[c])]);
+        let chol = Cholesky::compute(&g_pp).unwrap();
+        let measured = [mu[5] + 1.3, mu[0] - 0.4, mu[3] + 2.2];
+        let pred = p.predict(&measured).unwrap();
+        for (k, &t) in target_idx.iter().enumerate() {
+            let g_pt: Vec<f64> = meas_idx.iter().map(|&m| gram[(m, t)]).collect();
+            let coef = chol.solve(&g_pt).unwrap();
+            for (c, &r) in p.coef().row(k).iter().zip(&coef) {
+                assert!((c - r).abs() <= 1e-12 * r.abs().max(1.0), "target {t}: coef {c} vs {r}");
+            }
+            let std = (gram[(t, t)] - vecops::dot(&coef, &g_pt)).sqrt();
+            let gap = (p.stds()[k] - std).abs();
+            assert!(gap <= 1e-12 * std, "target {t}: std {} vs {std}", p.stds()[k]);
+            let centered: Vec<f64> = (0..3).map(|q| measured[q] - mu[meas_idx[q]]).collect();
+            let reference = mu[t] + vecops::dot(&coef, &centered);
+            let gap = (pred[k] - reference).abs();
+            assert!(gap <= 1e-12 * reference.abs(), "target {t}: {} vs {reference}", pred[k]);
         }
-        let m = [mu[1] + 1.0, mu[3] - 2.0];
-        let d1 = pg.predict(&m).unwrap();
-        let d2 = pd.predict(&m).unwrap();
-        for (x, y) in d1.iter().zip(d2.iter()) {
-            assert!((x - y).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dependent_row_gets_zero_coefficient() {
+        use pathrep_linalg::gauss;
+        use rand::SeedableRng;
+        let (a, mu) = dense_model();
+        let t_cons = 1000.0;
+        // Row 2 of the measured set is path 0 + path 3: dependent on rows 0-1.
+        let sum: Vec<f64> = a.row(0).iter().zip(a.row(3)).map(|(x, y)| x + y).collect();
+        let meas = Matrix::from_rows(&[a.row(0), a.row(3), &sum]).unwrap();
+        let meas_mu = [mu[0], mu[3], mu[0] + mu[3]];
+        let target_idx = [1usize, 2, 4, 5, 6, 7];
+        let target = a.select_rows(&target_idx);
+        let target_mu: Vec<f64> = target_idx.iter().map(|&i| mu[i]).collect();
+        let with = MeasurementPredictor::new(&target, &target_mu, &meas, &meas_mu, 3.0).unwrap();
+        let indep = MeasurementPredictor::new(
+            &target,
+            &target_mu,
+            &a.select_rows(&[0, 3]),
+            &meas_mu[..2],
+            3.0,
+        )
+        .unwrap();
+        for k in 0..target_idx.len() {
+            assert_eq!(with.coef()[(k, 2)], 0.0, "dependent row must get coefficient 0");
+            assert!((with.stds()[k] - indep.stds()[k]).abs() <= 1e-12 * t_cons);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for _ in 0..20 {
+            let mut x = vec![0.0; a.ncols()];
+            gauss::fill_standard_normal(&mut rng, &mut x);
+            let m: Vec<f64> = (0..3).map(|q| meas_mu[q] + vecops::dot(meas.row(q), &x)).collect();
+            let (p1, p2) = (with.predict(&m).unwrap(), indep.predict(&m[..2]).unwrap());
+            for (u, v) in p1.iter().zip(&p2) {
+                assert!((u - v).abs() <= 1e-12 * t_cons, "prediction {u} vs {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn coefficients_follow_the_callers_measurement_order() {
+        let (a, mu) = dense_model();
+        let none = Matrix::zeros(0, a.ncols());
+        let columns = Columns::Rows {
+            targets: &a,
+            extra: &none,
+        };
+        let mut kernel = Conditioning::new(columns, 0.0).unwrap();
+        kernel.condition(&[5, 0, 3]).unwrap();
+        let order = [0usize, 3, 5];
+        let (p, remaining) = kernel.predictor(&order, &mu, 3.0);
+        assert_eq!(remaining, vec![1, 2, 4, 6, 7]);
+        let pick = |idx: &[usize]| -> Vec<f64> { idx.iter().map(|&i| mu[i]).collect() };
+        let reference = MeasurementPredictor::new(
+            &a.select_rows(&remaining),
+            &pick(&remaining),
+            &a.select_rows(&order),
+            &pick(&order),
+            3.0,
+        )
+        .unwrap();
+        let m = [mu[0] + 1.0, mu[3] - 2.0, mu[5] + 0.5];
+        let (got, want) = (p.predict(&m).unwrap(), reference.predict(&m).unwrap());
+        for (x, y) in got.iter().zip(&want) {
+            assert!((x - y).abs() <= 1e-12 * y.abs(), "prediction {x} vs {y}");
         }
     }
 
@@ -591,8 +749,6 @@ mod tests {
         let meas = a.select_rows(&[1]);
         assert!(MeasurementPredictor::new(&a, &mu, &meas, &mu[1..2], 0.0).is_err());
         assert!(MeasurementPredictor::new(&a, &mu[..2], &meas, &mu[1..2], 3.0).is_err());
-        let (cross, diag) = cross_gram(&a, &[1]);
-        assert!(MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[1], 0.0).is_err());
         let p = MeasurementPredictor::new(
             &a.select_rows(&[0]),
             &mu[..1],
@@ -773,12 +929,17 @@ mod tests {
     #[test]
     fn measuring_everything_gives_zero_error() {
         let (a, mu) = figure1_a();
-        let (cross, diag) = cross_gram(&a, &[0, 1, 2]);
-        let (p, remaining) =
-            MeasurementPredictor::from_cross_gram(&cross, &diag, &mu, &[0, 1, 2], DEFAULT_KAPPA)
-                .unwrap();
-        // Path 3 = p1 − p2 + p3 wait: d_p4 = d_p1 − d_p2 + d_p3.
-        assert_eq!(remaining, vec![3]);
+        let p = MeasurementPredictor::new(
+            &a.select_rows(&[3]),
+            &mu[3..],
+            &a.select_rows(&[0, 1, 2]),
+            &mu[..3],
+            DEFAULT_KAPPA,
+        )
+        .unwrap();
+        // d_p4 = d_p1 − d_p2 + d_p3.
         assert!(p.stds()[0] < 1e-6);
+        let d = p.predict(&[mu[0] + 1.0, mu[1] + 2.0, mu[2] + 4.0]).unwrap();
+        assert!((d[0] - (mu[3] + 1.0 - 2.0 + 4.0)).abs() < 1e-9);
     }
 }

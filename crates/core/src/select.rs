@@ -4,14 +4,16 @@
 //! in where the left singular subspace and the Gram blocks come from
 //! ([`Source`]) and in what decides the selection size ([`Goal`]). Each
 //! candidate `r` is evaluated the same way: Algorithm 2 pivots on the
-//! leading `r` columns of `U` ([`select_rows_from_left`]), and Theorem 2
-//! builds the predictor from the thin cross-Gram `G[·, selected]` plus the
-//! Gram diagonal ([`MeasurementPredictor::from_cross_gram`]).
+//! leading `r` columns of `U` ([`select_rows_from_left`]), the
+//! conditioning kernel of [`crate::predictor`] conditions every path on
+//! that subset with the Gram columns `G[·, selected]`, and `ε_r` is read
+//! off the kernel's diagonal. Only the chosen candidate builds its
+//! Theorem-2 coefficients.
 
 use crate::approx::Schedule;
 use crate::exact::RANK_TOL;
 use crate::factors::ModelFactors;
-use crate::predictor::MeasurementPredictor;
+use crate::predictor::{Columns, Conditioning, MeasurementPredictor};
 use crate::subset::select_rows_from_left;
 use crate::CoreError;
 use pathrep_linalg::sketch::SketchedSvd;
@@ -109,23 +111,10 @@ impl Source<'_> {
         }
     }
 
-    fn gram_diag(&self) -> Vec<f64> {
+    fn columns(&self) -> Columns<'_> {
         match self {
-            Source::Dense { factors, .. } => {
-                let gram = factors.gram();
-                (0..gram.nrows()).map(|i| gram[(i, i)]).collect()
-            }
-            Source::Sketched { a, .. } => a.gram_diag(),
-        }
-    }
-
-    fn cross_gram(&self, selected: &[usize]) -> Result<Matrix, CoreError> {
-        match self {
-            Source::Dense { factors, .. } => Ok(factors.gram().select_cols(selected)),
-            Source::Sketched { a, .. } => {
-                let a_sel = a.select_rows_dense(selected)?;
-                Ok(a.matmul_dense(&a_sel.transpose())?)
-            }
+            Source::Dense { factors, .. } => Columns::Gram(factors.gram()),
+            Source::Sketched { a, .. } => Columns::Sparse(a),
         }
     }
 
@@ -137,11 +126,11 @@ impl Source<'_> {
     }
 }
 
-/// One evaluated candidate size `r`.
-struct Candidate {
+/// One evaluated candidate size `r`: its subset and the kernel conditioned
+/// on it.
+struct Candidate<'a> {
     selected: Vec<usize>,
-    remaining: Vec<usize>,
-    predictor: MeasurementPredictor,
+    kernel: Conditioning<'a>,
     epsilon_r: f64,
 }
 
@@ -166,7 +155,6 @@ pub(crate) fn search(
         });
     }
     let svd = source.svd();
-    let diag = source.gram_diag();
     let rank = svd.rank(RANK_TOL).max(1);
     let eta = match goal {
         Goal::Tolerance { eta, .. } => eta,
@@ -175,20 +163,18 @@ pub(crate) fn search(
     let effective_rank = svd.effective_rank(eta)?;
     let mut trace: Vec<(usize, f64)> = Vec::new();
 
-    let mut evaluate = |r: usize| -> Result<Candidate, CoreError> {
+    let mut evaluate = |r: usize| -> Result<Candidate<'_>, CoreError> {
         let selected = select_rows_from_left(svd, r)?;
-        let cross = source.cross_gram(&selected)?;
-        let (predictor, remaining) =
-            MeasurementPredictor::from_cross_gram(&cross, &diag, mu, &selected, kappa)?;
+        let mut kernel = Conditioning::new(source.columns(), 0.0)?;
+        kernel.condition(&selected)?;
         let epsilon_r = match goal {
-            Goal::Tolerance { t_cons, .. } if !remaining.is_empty() => predictor.epsilon(t_cons),
-            _ => 0.0,
+            Goal::Tolerance { t_cons, .. } => kernel.epsilon(kappa, t_cons),
+            Goal::Exact => 0.0,
         };
         trace.push((r, epsilon_r));
         Ok(Candidate {
             selected,
-            remaining,
-            predictor,
+            kernel,
             epsilon_r,
         })
     };
@@ -198,7 +184,7 @@ pub(crate) fn search(
         Goal::Tolerance {
             epsilon, schedule, ..
         } => {
-            let mut evaluate = |r: usize| -> Result<Candidate, CoreError> {
+            let mut evaluate = |r: usize| -> Result<Candidate<'_>, CoreError> {
                 let _span = pathrep_obs::span!("evaluate_candidate");
                 let cand = evaluate(r)?;
                 let eps = cand.epsilon_r;
@@ -250,10 +236,11 @@ pub(crate) fn search(
         }
     };
 
+    let (predictor, remaining) = best.kernel.predictor(&best.selected, mu, kappa);
     let selection = Selection {
         selected: best.selected,
-        remaining: best.remaining,
-        predictor: best.predictor,
+        remaining,
+        predictor,
         epsilon_r: best.epsilon_r,
         rank,
         effective_rank,

@@ -7,9 +7,9 @@
 //! * a seeded randomized range-finder + sketched SVD
 //!   ([`pathrep_linalg::sketch::sketched_svd`]) whose left factor stands
 //!   in for `U` in Algorithm 2's pivoted QR;
-//! * the thin cross-Gram `C = A·A_selᵀ` (`n × r`) plus the Gram diagonal
-//!   instead of the full `n × n` Gram — the Theorem-2 predictor needs
-//!   nothing else ([`crate::MeasurementPredictor::from_cross_gram`]).
+//! * the Gram columns `A·A_selᵀ` (`n × r`) from sparse products plus the
+//!   Gram diagonal instead of the full `n × n` Gram — the conditioning
+//!   kernel of [`crate::predictor`] needs nothing else.
 //!
 //! The sketch is deterministic (fixed seed, sequential Gaussian fill), so
 //! results are bit-identical at any `PATHREP_THREADS`, same as the dense

@@ -529,13 +529,15 @@ mod tests {
         // Deliberately measure only half the representative paths so the
         // error is non-trivial.
         let half = &sel.selected[..sel.selected.len().div_ceil(2)];
-        let gram = dm.a().matmul(&dm.a().transpose()).unwrap();
-        let diag: Vec<f64> = (0..gram.nrows()).map(|i| gram[(i, i)]).collect();
-        let (pred, remaining) = pathrep_core::MeasurementPredictor::from_cross_gram(
-            &gram.select_cols(half),
-            &diag,
-            dm.mu_paths(),
-            half,
+        let remaining: Vec<usize> = (0..dm.mu_paths().len())
+            .filter(|i| !half.contains(i))
+            .collect();
+        let pick = |idx: &[usize]| -> Vec<f64> { idx.iter().map(|&i| dm.mu_paths()[i]).collect() };
+        let pred = MeasurementPredictor::new(
+            &dm.a().select_rows(&remaining),
+            &pick(&remaining),
+            &dm.a().select_rows(half),
+            &pick(half),
             3.0,
         )
         .unwrap();

@@ -151,93 +151,6 @@ impl Cholesky {
         Ok(y)
     }
 
-    /// Solves `A X = B` column-by-column.
-    ///
-    /// Columns are substituted four at a time: each column's own
-    /// subtraction order is untouched (results are bit-identical to the
-    /// one-column [`Cholesky::solve`]), but the four independent
-    /// recurrence chains pipeline instead of serializing on FP-add
-    /// latency, and every `L` element is loaded once per panel instead of
-    /// once per column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `B` has the wrong row
-    /// count.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.l.nrows();
-        if b.nrows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky_solve_matrix",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut x = Matrix::zeros(n, b.ncols());
-        {
-            // Panel substitutions do the same per-column model work as
-            // the scalar solve; remainder columns record via `solve`.
-            let (nu, panels) = (n as u64, (b.ncols() / 4) as u64);
-            pathrep_obs::work::record(
-                "cholesky",
-                panels * 4 * 2 * nu * nu,
-                panels * 8 * (nu * (nu + 1) + 8 * nu),
-                panels * (nu * (nu + 1) + 8 * nu),
-            );
-        }
-        let mut j = 0;
-        while j + 4 <= b.ncols() {
-            // Row-major n×4 panel of the four columns.
-            let mut y = vec![0.0_f64; n * 4];
-            for i in 0..n {
-                for c in 0..4 {
-                    y[i * 4 + c] = b[(i, j + c)];
-                }
-            }
-            // L y = b
-            for i in 0..n {
-                let li = self.l.row(i);
-                let (head, tail) = y.split_at_mut(i * 4);
-                let yi = &mut tail[..4];
-                for (k, yk) in head.chunks_exact(4).enumerate() {
-                    let lik = li[k];
-                    for c in 0..4 {
-                        yi[c] -= lik * yk[c];
-                    }
-                }
-                let d = li[i];
-                for v in yi.iter_mut() {
-                    *v /= d;
-                }
-            }
-            // Lᵀ x = y
-            for i in (0..n).rev() {
-                let (head, tail) = y.split_at_mut((i + 1) * 4);
-                let yi = &mut head[i * 4..];
-                for (dk, yk) in tail.chunks_exact(4).enumerate() {
-                    let lki = self.l[(i + 1 + dk, i)];
-                    for c in 0..4 {
-                        yi[c] -= lki * yk[c];
-                    }
-                }
-                let d = self.l[(i, i)];
-                for v in yi.iter_mut() {
-                    *v /= d;
-                }
-            }
-            for i in 0..n {
-                for c in 0..4 {
-                    x[(i, j + c)] = y[i * 4 + c];
-                }
-            }
-            j += 4;
-        }
-        for j in j..b.ncols() {
-            x.set_col(j, &self.solve(&b.col(j))?);
-        }
-        Ok(x)
-    }
-
     /// Computes `L v` (for sampling: turns iid normals into correlated ones).
     ///
     /// # Errors
@@ -302,38 +215,5 @@ mod tests {
             Cholesky::compute(&Matrix::zeros(2, 3)).unwrap_err(),
             LinalgError::NotSquare { .. }
         ));
-    }
-
-    #[test]
-    fn solve_matrix_round_trip() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let ch = Cholesky::compute(&a).unwrap();
-        let x = ch.solve_matrix(&b).unwrap();
-        assert!(a.matmul(&x).unwrap().approx_eq(&b, 1e-12));
-    }
-
-    #[test]
-    fn solve_matrix_panel_matches_per_column_solve_bitwise() {
-        // The 4-wide panel substitution must reproduce the scalar solve
-        // exactly — both full panels and the ragged remainder columns.
-        let n = 13;
-        let mut a = Matrix::from_fn(n, n, |i, j| ((i * 3 + j * 5) as f64 * 0.21).sin() * 0.4);
-        for i in 0..n {
-            a[(i, i)] += n as f64;
-        }
-        let ch = Cholesky::compute(&a).unwrap();
-        let b = Matrix::from_fn(n, 7, |i, j| ((i + 2 * j) as f64 * 0.63).cos());
-        let x = ch.solve_matrix(&b).unwrap();
-        for j in 0..b.ncols() {
-            let col = ch.solve(&b.col(j)).unwrap();
-            for i in 0..n {
-                assert_eq!(
-                    x[(i, j)].to_bits(),
-                    col[i].to_bits(),
-                    "panel solve diverged at ({i}, {j})"
-                );
-            }
-        }
     }
 }

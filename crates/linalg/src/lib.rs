@@ -4,13 +4,14 @@
 //! representative-path-selection method of Xie & Davoodi (DAC 2010) relies on:
 //!
 //! * a dense row-major [`Matrix`] type with the usual arithmetic,
-//! * LU with partial pivoting ([`lu`]), Cholesky ([`cholesky`]),
+//! * Cholesky ([`cholesky`]) for the convex solver's normal equations,
 //! * Householder QR and **rank-revealing QR with column pivoting**
 //!   ([`qr`]) — the subset-selection workhorse of the paper's Algorithm 2,
 //! * the **Golub–Reinsch SVD** ([`svd`]) used for rank and *effective rank*,
 //! * symmetric eigendecomposition ([`eig`]) used by the convex solver's
 //!   ellipsoid projections,
-//! * least squares and the Moore–Penrose pseudo-inverse ([`lstsq`]),
+//! * CSR sparse matrices ([`sparse`]) and the seeded sketched SVD
+//!   ([`sketch`]) of the large-circuit pipeline,
 //! * Gaussian sampling and tail statistics ([`gauss`]).
 //!
 //! # Example
@@ -36,8 +37,6 @@ pub mod cholesky;
 pub mod eig;
 pub mod error;
 pub mod gauss;
-pub mod lstsq;
-pub mod lu;
 pub mod matrix;
 pub mod qr;
 pub mod sketch;

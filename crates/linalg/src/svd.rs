@@ -89,8 +89,8 @@ impl Svd {
     /// point: for a tall `m`×`n` input it skips `O(n³)` accumulation flops
     /// plus the `V` share of every QR-iteration rotation sweep.
     ///
-    /// [`Svd::v`] panics and [`Svd::reconstruct`] /
-    /// [`Svd::pseudo_inverse`] return an error on the result.
+    /// [`Svd::v`] panics and [`Svd::reconstruct`] returns an error on the
+    /// result.
     ///
     /// # Errors
     ///
@@ -244,30 +244,6 @@ impl Svd {
             }
         }
         us.matmul(&v.transpose())
-    }
-
-    /// Moore–Penrose pseudo-inverse with relative cutoff `tol` (singular
-    /// values below `tol · s_max` are treated as zero).
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::InvalidArgument`] for a [`Svd::compute_left`]
-    /// decomposition (no `V`); otherwise mirrors [`Matrix::matmul`].
-    pub fn pseudo_inverse(&self, tol: f64) -> Result<Matrix> {
-        let k = self.s.len();
-        let smax = self.s.first().copied().unwrap_or(0.0);
-        let mut vs = self.v_checked()?.clone();
-        for j in 0..k {
-            let inv = if smax > 0.0 && self.s[j] > tol * smax {
-                1.0 / self.s[j]
-            } else {
-                0.0
-            };
-            for i in 0..vs.nrows() {
-                vs[(i, j)] *= inv;
-            }
-        }
-        vs.matmul(&self.u.transpose())
     }
 }
 
@@ -840,28 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_inverse_of_full_rank_is_inverse() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let pinv = Svd::compute(&a).unwrap().pseudo_inverse(1e-12).unwrap();
-        assert!(a.matmul(&pinv).unwrap().approx_eq(&Matrix::identity(2), 1e-10));
-    }
-
-    #[test]
-    fn pseudo_inverse_satisfies_penrose_conditions() {
-        // Rank-deficient example.
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[0.0, 0.0]]).unwrap();
-        let p = Svd::compute(&a).unwrap().pseudo_inverse(1e-12).unwrap();
-        let apa = a.matmul(&p).unwrap().matmul(&a).unwrap();
-        assert!(apa.approx_eq(&a, 1e-10), "A P A = A violated");
-        let pap = p.matmul(&a).unwrap().matmul(&p).unwrap();
-        assert!(pap.approx_eq(&p, 1e-10), "P A P = P violated");
-        let ap = a.matmul(&p).unwrap();
-        assert!(ap.approx_eq(&ap.transpose(), 1e-10), "(AP)ᵀ = AP violated");
-        let pa = p.matmul(&a).unwrap();
-        assert!(pa.approx_eq(&pa.transpose(), 1e-10), "(PA)ᵀ = PA violated");
-    }
-
-    #[test]
     fn compute_left_matches_full_bit_for_bit() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -895,10 +849,6 @@ mod tests {
         let left = Svd::compute_left(&a).unwrap();
         assert!(matches!(
             left.reconstruct(),
-            Err(LinalgError::InvalidArgument { .. })
-        ));
-        assert!(matches!(
-            left.pseudo_inverse(1e-12),
             Err(LinalgError::InvalidArgument { .. })
         ));
     }

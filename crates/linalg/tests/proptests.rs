@@ -3,7 +3,6 @@
 use pathrep_linalg::cholesky::Cholesky;
 use pathrep_linalg::eig::SymmetricEig;
 use pathrep_linalg::gauss;
-use pathrep_linalg::lu::Lu;
 use pathrep_linalg::qr::Qr;
 use pathrep_linalg::svd::Svd;
 use pathrep_linalg::Matrix;
@@ -99,36 +98,17 @@ proptest! {
     }
 
     #[test]
-    fn lu_solve_round_trips(a in square_strategy(8), seed in 0u64..1000) {
-        // Make the matrix diagonally dominant so it is safely regular.
-        let n = a.nrows();
-        let mut ad = a.clone();
-        for i in 0..n {
-            let rowsum: f64 = (0..n).map(|j| ad[(i, j)].abs()).sum();
-            ad[(i, i)] += rowsum + 1.0;
-        }
-        let b: Vec<f64> = (0..n).map(|i| ((seed as f64) * 0.01 + i as f64).sin()).collect();
-        let lu = Lu::compute(&ad).unwrap();
-        let x = lu.solve(&b).unwrap();
-        let back = ad.matvec(&x).unwrap();
-        for (u, v) in back.iter().zip(b.iter()) {
-            prop_assert!((u - v).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn cholesky_matches_lu_on_spd(a in matrix_strategy(8, 5)) {
+    fn cholesky_solve_has_small_residual_on_spd(a in matrix_strategy(8, 5)) {
         // AᵀA + I is SPD.
         let mut g = a.transpose().matmul(&a).unwrap();
         for i in 0..g.nrows() {
             g[(i, i)] += 1.0;
         }
         let b: Vec<f64> = (0..g.nrows()).map(|i| (i as f64 + 1.0).sqrt()).collect();
-        let x1 = Cholesky::compute(&g).unwrap().solve(&b).unwrap();
-        let x2 = Lu::compute(&g).unwrap().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(x2.iter()) {
-            prop_assert!((u - v).abs() < 1e-8);
-        }
+        let x = Cholesky::compute(&g).unwrap().solve(&b).unwrap();
+        let back = g.matvec(&x).unwrap();
+        let residual: Vec<f64> = back.iter().zip(&b).map(|(u, v)| u - v).collect();
+        prop_assert!(pathrep_linalg::vecops::norm2(&residual) <= 1e-8);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! `pathrep_variation::sensitivity::DelayModel::build`.
 
 pub mod block;
-pub mod criticality;
 pub mod canonical;
 pub mod extract;
 pub mod sparse;

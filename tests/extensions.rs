@@ -1,15 +1,13 @@
 //! Integration tests for the beyond-the-paper extensions: clustering
-//! (§4.4), the greedy baseline, path criticality, measurement noise and
-//! post-silicon diagnosis — all through the public facade.
+//! (§4.4), the greedy baseline and measurement noise — all through the
+//! public facade.
 
 use pathrep::core::approx::{approx_select, ApproxConfig};
 use pathrep::core::cluster::{clustered_select, ClusterConfig};
 use pathrep::core::greedy::greedy_select;
-use pathrep::core::{Diagnoser, MeasurementPredictor};
+use pathrep::core::MeasurementPredictor;
 use pathrep::eval::pipeline::{prepare, PipelineConfig};
 use pathrep::eval::suite::BenchmarkSpec;
-use pathrep::ssta::criticality::monte_carlo_criticality;
-use pathrep::variation::sampler::VariationSampler;
 
 fn spec(seed: u64) -> BenchmarkSpec {
     BenchmarkSpec {
@@ -70,29 +68,6 @@ fn greedy_baseline_meets_tolerance_on_real_models() {
 }
 
 #[test]
-fn criticality_concentrates_on_extracted_ranking() {
-    // The extractor returns paths most-critical-first (by yield loss); the
-    // MC criticality mass should concentrate on the front of that list.
-    let pb = prepare(
-        &spec(7003),
-        &PipelineConfig {
-            max_paths: 150,
-            ..PipelineConfig::default()
-        },
-    )
-    .unwrap();
-    let dm = &pb.delay_model;
-    let crit = monte_carlo_criticality(dm.a(), dm.mu_paths(), 3_000, 5);
-    let front: f64 = crit.probability.iter().take(pb.path_count() / 4).sum();
-    assert!(
-        front > 0.5,
-        "front quarter of the extraction carries only {front:.2} criticality"
-    );
-    let cover = crit.covering_set(0.95);
-    assert!(cover.len() < pb.path_count());
-}
-
-#[test]
 fn noisy_measurement_degrades_gracefully() {
     let pb = prepare(
         &spec(7004),
@@ -118,50 +93,4 @@ fn noisy_measurement_degrades_gracefully() {
         assert!(n >= c);
         assert!(n.is_finite());
     }
-}
-
-#[test]
-fn diagnosis_flags_injected_regional_excursion() {
-    use pathrep::variation::model::{Parameter, Variable};
-    let pb = prepare(
-        &spec(7005),
-        &PipelineConfig {
-            max_paths: 200,
-            ..PipelineConfig::default()
-        },
-    )
-    .unwrap();
-    let dm = &pb.delay_model;
-    let sel = approx_select(dm.a(), dm.mu_paths(), &ApproxConfig::new(0.03, pb.t_cons)).unwrap();
-    let meas = dm.a().select_rows(&sel.selected);
-    let meas_mu: Vec<f64> = sel.selected.iter().map(|&i| dm.mu_paths()[i]).collect();
-    let diagnoser = Diagnoser::new(&meas, &meas_mu).unwrap();
-    let d2d = dm
-        .variables()
-        .iter()
-        .position(|v| {
-            matches!(
-                v,
-                Variable::Region {
-                    param: Parameter::Leff,
-                    region_flat: 0
-                }
-            )
-        })
-        .expect("die-to-die Leff always present");
-    let mut sampler = VariationSampler::new(dm.variable_count(), 17);
-    let mut x = sampler.draw();
-    for v in x.iter_mut() {
-        *v *= 0.2;
-    }
-    x[d2d] += 5.0;
-    let d_all = dm.path_delays(&x).unwrap();
-    let measured: Vec<f64> = sel.selected.iter().map(|&i| d_all[i]).collect();
-    let diag = diagnoser.diagnose(&measured).unwrap();
-    // The injected region must appear among the top suspects.
-    let suspects = diag.suspects(1.0, 0.2);
-    assert!(
-        suspects.iter().take(3).any(|&(j, _)| j == d2d),
-        "injected excursion missing from top suspects: {suspects:?}"
-    );
 }
