@@ -447,10 +447,11 @@ pub fn solve_ellipsoid_admm(
         let b_new = prox_group_linf(&z.sub(&u)?, 1.0 / config.rho);
         // Z-step: row-wise ellipsoid projection of (B + U) about g_i. Rows
         // are independent, so blocks fan out over the `pathrep-par` pool
-        // with bit-identical results at any thread count.
+        // with bit-identical results at any thread count. A row's work is
+        // dominated by the two `ns`-square eigenbasis products.
         let t = b_new.add(&u)?;
         let mut z_new = Matrix::zeros(r1, ns);
-        pathrep_par::for_each_unit_chunk_mut(z_new.as_mut_slice(), ns, 8, |first, block| {
+        pathrep_par::for_each_unit_chunk_mut(z_new.as_mut_slice(), ns, 4 * ns * ns, |first, block| {
             for (di, zrow) in block.chunks_exact_mut(ns).enumerate() {
                 let i = first + di;
                 zrow.copy_from_slice(&projector.project(t.row(i), g.row(i)));

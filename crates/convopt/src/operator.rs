@@ -74,9 +74,7 @@ fn span_matmul(x: &Matrix, rhs: &Matrix, spans: &[Range<usize>]) -> Matrix {
         elements as u64,
     );
     let mut c = Matrix::zeros(m, n);
-    // Keep each worker busy for ~a million flops before fanning out.
-    let min_rows = (1 << 20) / (2 * span_sum).max(1) + 1;
-    pathrep_par::for_each_unit_chunk_mut(c.as_mut_slice(), n, min_rows, |first, block| {
+    pathrep_par::for_each_unit_chunk_mut(c.as_mut_slice(), n, 2 * span_sum, |first, block| {
         for (di, c_row) in block.chunks_exact_mut(n).enumerate() {
             for (k, &xik) in x.row(first + di).iter().enumerate() {
                 if xik == 0.0 {

@@ -18,7 +18,8 @@ pub fn project_rows_into_ball(m: &Matrix, centers: Option<&Matrix>, r: f64) -> M
     let mut out = m.clone();
     // Rows project independently, so blocks of rows fan out over the
     // `pathrep-par` pool with bit-identical results at any thread count.
-    pathrep_par::for_each_unit_chunk_mut(out.as_mut_slice(), ncols, 64, |first, block| {
+    // Per row: the difference, its norm and the rescale, ≈ 5 flops a column.
+    pathrep_par::for_each_unit_chunk_mut(out.as_mut_slice(), ncols, 5 * ncols, |first, block| {
         for (di, orow) in block.chunks_exact_mut(ncols).enumerate() {
             let i = first + di;
             let row = m.row(i);

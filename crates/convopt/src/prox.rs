@@ -50,7 +50,10 @@ pub fn prox_linf(v: &[f64], t: f64) -> Vec<f64> {
 /// bit-identical at any thread count).
 pub fn prox_group_linf(m: &Matrix, t: f64) -> Matrix {
     let mut out = m.clone();
-    let cols = pathrep_par::map_indexed(m.ncols(), 8, |j| prox_linf(&m.col(j), t));
+    // Per column: the ℓ1 norm, the sort and the threshold scan, ≈ 10 flops
+    // an entry.
+    let col_flops = 10 * m.nrows();
+    let cols = pathrep_par::map_indexed(m.ncols(), col_flops, |j| prox_linf(&m.col(j), t));
     for (j, p) in cols.iter().enumerate() {
         out.set_col(j, p);
     }

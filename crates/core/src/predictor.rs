@@ -484,11 +484,8 @@ impl MeasurementPredictor {
             return Ok(Matrix::zeros(k, t));
         }
         let mut out = Matrix::zeros(k, t);
-        // Keep each worker busy for ~a quarter-million flops before fanning
-        // out; below that the batch stays inline on the calling thread.
         let row_flops = 2 * t * self.meas_mu.len();
-        let min_rows = (1 << 18) / row_flops.max(1) + 1;
-        pathrep_par::for_each_unit_chunk_mut(out.as_mut_slice(), t, min_rows, |first, block| {
+        pathrep_par::for_each_unit_chunk_mut(out.as_mut_slice(), t, row_flops, |first, block| {
             for (dq, out_row) in block.chunks_exact_mut(t).enumerate() {
                 let centered = vecops::sub(measured.row(first + dq), &self.meas_mu);
                 for (i, (o, mu)) in out_row.iter_mut().zip(self.target_mu.iter()).enumerate() {

@@ -242,6 +242,14 @@ impl<'a> BlockKernel<'a> {
         }
     }
 
+    /// Model flops of one sample: its draw, the block products `A·x` and
+    /// `Σ_r·x`, and the prediction.
+    pub(crate) fn flops_per_sample(&self) -> usize {
+        let segments = self.segments.as_ref().map_or(0, |(sigma_r, _)| sigma_r.nnz());
+        let predict = 2 * self.predictor.measurement_count() * self.predictor.target_count();
+        self.a.ncols() + 2 * (self.a.nnz() + segments) + predict
+    }
+
     /// Draws `n` samples from `sampler` and scores them in blocks of at
     /// most [`MC_BLOCK`], calling `visit(d, predicted)` once per block in
     /// sample order. `d` holds the block's true path delays (paths × `b`,
@@ -417,7 +425,8 @@ pub fn evaluate(
     };
     let kernel = BlockKernel::new(dm, plan);
     let chunks = config.n_samples.div_ceil(MC_CHUNK);
-    let shards = pathrep_par::map_indexed_with(chunks, 1, config.threads, |c| {
+    let chunk_flops = MC_CHUNK * (kernel.flops_per_sample() + 4 * nr);
+    let shards = pathrep_par::map_indexed_with(chunks, chunk_flops, config.threads, |c| {
         evaluate_chunk(&kernel, remaining, config, c)
     });
 

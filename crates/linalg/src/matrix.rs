@@ -243,10 +243,8 @@ impl Matrix {
             (m * k + k * n + m * n) as u64,
         );
         let mut c = Matrix::zeros(self.rows, other.cols);
-        // Keep each worker busy for ~a million flops before fanning out.
         let row_flops = 2 * self.cols * other.cols;
-        let min_rows = (1 << 20) / row_flops.max(1) + 1;
-        pathrep_par::for_each_unit_chunk_mut(&mut c.data, other.cols, min_rows, |first, block| {
+        pathrep_par::for_each_unit_chunk_mut(&mut c.data, other.cols, row_flops, |first, block| {
             for (di, c_row) in block.chunks_exact_mut(other.cols).enumerate() {
                 let a_row = self.row(first + di);
                 for (k, &aik) in a_row.iter().enumerate() {
@@ -286,8 +284,7 @@ impl Matrix {
             (m * n + n + m) as u64,
         );
         let mut y = vec![0.0; self.rows];
-        let min_rows = (1 << 18) / (2 * self.cols).max(1) + 1;
-        pathrep_par::for_each_unit_chunk_mut(&mut y, 1, min_rows, |first, block| {
+        pathrep_par::for_each_unit_chunk_mut(&mut y, 1, 2 * self.cols, |first, block| {
             for (di, yi) in block.iter_mut().enumerate() {
                 *yi = crate::vecops::dot(self.row(first + di), x);
             }

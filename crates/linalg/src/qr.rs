@@ -271,9 +271,8 @@ impl Qr {
         // to assume `s` aliases `data`).
         {
             let data_ro: &[f64] = data;
-            // ~2 flops per (row, column) pair; keep ≥ 2^14 flops per worker.
-            let min_cols = (1 << 14) / (2 * (vtail.len() + 1)) + 1;
-            pathrep_par::for_each_unit_chunk_mut(&mut s, 1, min_cols, |first, schunk| {
+            let col_flops = 2 * (vtail.len() + 1);
+            pathrep_par::for_each_unit_chunk_mut(&mut s, 1, col_flops, |first, schunk| {
                 let len = schunk.len();
                 for (di, &vi) in vtail.iter().enumerate() {
                     let row = (h + 1 + di) * stride + j0 + first;
@@ -290,8 +289,7 @@ impl Qr {
         // reading the frozen `s`; per element it is the same single update
         // as the column-partitioned original, so results are bit-identical.
         let rows = &mut data[h * stride..(h + 1 + vtail.len()) * stride];
-        let min_rows = (1 << 14) / (2 * width) + 1;
-        pathrep_par::for_each_unit_chunk_mut(rows, stride, min_rows, |first, block| {
+        pathrep_par::for_each_unit_chunk_mut(rows, stride, 2 * width, |first, block| {
             for (dk, row) in block.chunks_exact_mut(stride).enumerate() {
                 let r = first + dk;
                 if r == 0 {
@@ -316,17 +314,25 @@ impl Qr {
     }
 
     /// The thin orthogonal factor `Q` (`m` × `min(m,n)`).
+    ///
+    /// Applies `H_{k-1}`, …, `H_0` to the identity's leading columns. When
+    /// `H_h` is applied, columns `< h` are still identity columns with no
+    /// entry in rows `h..`, which `H_h` maps to themselves, so only columns
+    /// `h..k` are updated (LAPACK `dorg2r`). On finite factors that skips
+    /// exact no-ops, bit for bit. A non-finite reflector entry would have
+    /// spread NaN into those columns through `0 · ∞`; now it stays out of
+    /// them. The sketched SVD, the one library caller, rejects non-finite
+    /// input before it factors anything.
     pub fn q_thin(&self) -> Matrix {
         let (m, n) = self.qr.shape();
         let k = m.min(n);
         let mut q = Matrix::from_fn(m, k, |i, j| if i == j { 1.0 } else { 0.0 });
-        // Apply H_0 … H_{k-1} to the identity, in reverse.
         for h in (0..k).rev() {
             if self.betas[h] == 0.0 {
                 continue;
             }
             let vtail: Vec<f64> = ((h + 1)..m).map(|i| self.qr[(i, h)]).collect();
-            Self::apply_householder(q.as_mut_slice(), k, h, 0, k, self.betas[h], &vtail);
+            Self::apply_householder(q.as_mut_slice(), k, h, h, k, self.betas[h], &vtail);
         }
         q
     }
@@ -352,76 +358,6 @@ impl Qr {
         (0..k)
             .take_while(|&i| self.qr[(i, i)].abs() > tol * r00)
             .count()
-    }
-
-    /// Applies `Qᵀ` to a vector of length `m`, in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `b.len() != m`.
-    pub fn apply_qt(&self, b: &mut [f64]) -> Result<()> {
-        let (m, n) = self.qr.shape();
-        if b.len() != m {
-            return Err(LinalgError::ShapeMismatch {
-                op: "apply_qt",
-                lhs: (m, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let k = m.min(n);
-        for h in 0..k {
-            if self.betas[h] == 0.0 {
-                continue;
-            }
-            let mut s = b[h];
-            for i in (h + 1)..m {
-                s += self.qr[(i, h)] * b[i];
-            }
-            s *= self.betas[h];
-            b[h] -= s;
-            for i in (h + 1)..m {
-                b[i] -= s * self.qr[(i, h)];
-            }
-        }
-        Ok(())
-    }
-
-    /// Least-squares solution of `min ‖A x − b‖₂` for full-column-rank `A`.
-    ///
-    /// Accounts for the column permutation, returning `x` in the original
-    /// column order.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::ShapeMismatch`] on a wrong-length `b`.
-    /// * [`LinalgError::Singular`] when `R` has a (numerically) zero diagonal.
-    pub fn solve_least_squares(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let (m, n) = self.qr.shape();
-        if m < n {
-            return Err(LinalgError::InvalidArgument {
-                what: "least squares requires m >= n; use the SVD pseudo-inverse otherwise",
-            });
-        }
-        let mut qtb = b.to_vec();
-        self.apply_qt(&mut qtb)?;
-        let mut y = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = qtb[i];
-            for j in (i + 1)..n {
-                s -= self.qr[(i, j)] * y[j];
-            }
-            let d = self.qr[(i, i)];
-            if d.abs() < 1e-300 {
-                return Err(LinalgError::Singular);
-            }
-            y[i] = s / d;
-        }
-        // Undo the permutation: y answers the permuted system.
-        let mut x = vec![0.0; n];
-        for (k, &orig) in self.perm.iter().enumerate() {
-            x[orig] = y[k];
-        }
-        Ok(x)
     }
 }
 
@@ -519,34 +455,6 @@ mod tests {
         .unwrap();
         let qr = Qr::compute_pivoted(&a).unwrap();
         assert_eq!(qr.rank(1e-10), 2);
-    }
-
-    #[test]
-    fn least_squares_matches_normal_equations() {
-        let a = tall();
-        let b = [2.0, 1.0, 0.0, -1.0];
-        let x = Qr::compute(&a).unwrap().solve_least_squares(&b).unwrap();
-        // Residual must be orthogonal to the column space: Aᵀ(Ax − b) = 0.
-        let ax = a.matvec(&x).unwrap();
-        let resid: Vec<f64> = ax.iter().zip(b.iter()).map(|(&p, &q)| p - q).collect();
-        let g = a.matvec_t(&resid).unwrap();
-        for gi in g {
-            assert!(gi.abs() < 1e-10, "normal equations violated: {gi}");
-        }
-    }
-
-    #[test]
-    fn least_squares_with_pivoting_returns_original_order() {
-        let a = tall();
-        let b = [2.0, 1.0, 0.0, -1.0];
-        let x0 = Qr::compute(&a).unwrap().solve_least_squares(&b).unwrap();
-        let x1 = Qr::compute_pivoted(&a)
-            .unwrap()
-            .solve_least_squares(&b)
-            .unwrap();
-        for (u, v) in x0.iter().zip(x1.iter()) {
-            assert!((u - v).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -297,13 +297,8 @@ impl SparseMatrix {
         if self.rows == 0 {
             return Ok(y);
         }
-        let avg_nnz = (self.nnz() / self.rows.max(1)).max(1);
-        // ~2^20 flops per chunk: sparse rows are memory-bound with an
-        // indirect gather per entry, so a finer grain spends more time
-        // parking/unparking workers than computing (the 100k-gate
-        // workloads showed t4 slower than t1 at 2^18).
-        let min_rows = (1usize << 20) / (2 * avg_nnz) + 1;
-        pathrep_par::for_each_unit_chunk_mut(&mut y, 1, min_rows, |first, chunk| {
+        let row_flops = 2 * (self.nnz() / self.rows).max(1);
+        pathrep_par::for_each_unit_chunk_mut(&mut y, 1, row_flops, |first, chunk| {
             for (i, yi) in chunk.iter_mut().enumerate() {
                 let r = first + i;
                 let mut acc = 0.0;
@@ -351,12 +346,8 @@ impl SparseMatrix {
             nnz + rows_u * bn_u,
         );
         let mut c = Matrix::zeros(self.rows, bn);
-        let avg_nnz = (self.nnz() / self.rows.max(1)).max(1);
-        let row_flops = 2 * avg_nnz * bn;
-        // ~2^22 flops per chunk (see `matvec` on why sparse kernels need a
-        // coarser grain than their dense counterparts).
-        let min_rows = (1usize << 22) / row_flops.max(1) + 1;
-        pathrep_par::for_each_unit_chunk_mut(c.as_mut_slice(), bn, min_rows, |first, chunk| {
+        let row_flops = 2 * (self.nnz() / self.rows).max(1) * bn;
+        pathrep_par::for_each_unit_chunk_mut(c.as_mut_slice(), bn, row_flops, |first, chunk| {
             for (local, crow) in chunk.chunks_mut(bn).enumerate() {
                 let r = first + local;
                 for k in self.row_ptr[r]..self.row_ptr[r + 1] {
@@ -407,10 +398,7 @@ impl SparseMatrix {
         );
         let mut c = Matrix::zeros(p, self.cols);
         let row_flops = 2 * self.nnz();
-        // ~2^22 flops per chunk (see `matvec` on why sparse kernels need a
-        // coarser grain than their dense counterparts).
-        let min_rows = (1usize << 22) / row_flops.max(1) + 1;
-        pathrep_par::for_each_unit_chunk_mut(c.as_mut_slice(), self.cols, min_rows, |first, chunk| {
+        pathrep_par::for_each_unit_chunk_mut(c.as_mut_slice(), self.cols, row_flops, |first, chunk| {
             for (local, crow) in chunk.chunks_mut(self.cols).enumerate() {
                 let i = first + local;
                 let lrow = l.row(i);
@@ -463,12 +451,9 @@ impl SparseMatrix {
             8 * (2 * (self.nnz() as u64 + b.nnz() as u64) + 2 * products),
             products,
         );
-        let avg_products = (products as usize / self.rows.max(1)).max(1);
-        // ~2^20 flops per chunk (see `matvec` on why sparse kernels need a
-        // coarser grain than their dense counterparts).
-        let min_rows = (1usize << 20) / (2 * avg_products) + 1;
+        let row_flops = 2 * (products as usize / self.rows.max(1)).max(1);
         let built: Vec<(Vec<usize>, Vec<f64>)> =
-            pathrep_par::map_indexed(self.rows, min_rows, |r| {
+            pathrep_par::map_indexed(self.rows, row_flops, |r| {
                 let mut pairs: Vec<(usize, f64)> = Vec::new();
                 for k in self.row_ptr[r]..self.row_ptr[r + 1] {
                     let v = self.vals[k];

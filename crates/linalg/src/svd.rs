@@ -63,17 +63,17 @@ impl Svd {
         }
         pathrep_obs::counter_add("linalg.svd.calls", 1);
         let wk0 = pathrep_obs::work::thread_tally("svd");
-        let svd = if m >= n {
-            let (u, s, v) = golub_reinsch(a, true)?;
-            Svd { u, s, v }
+        // SVD(Aᵀ) = V Σ Uᵀ: a wide input swaps the factors.
+        let (u, s, v) = if m >= n {
+            golub_reinsch(a, true, true)?
         } else {
-            // SVD(Aᵀ) = V Σ Uᵀ  ⇒  swap the factors.
-            let (v, s, u) = golub_reinsch(&a.transpose(), true)?;
-            Svd {
-                u: u.expect("golub_reinsch always returns V when asked"),
-                s,
-                v: Some(v),
-            }
+            let (v, s, u) = golub_reinsch(&a.transpose(), true, true)?;
+            (u, s, v)
+        };
+        let svd = Svd {
+            u: u.expect("golub_reinsch returns U when asked"),
+            s,
+            v: Some(v.expect("golub_reinsch returns V when asked")),
         };
         svd.record_health(m, n, pathrep_obs::work::thread_tally("svd").since(wk0));
         Ok(svd)
@@ -87,7 +87,9 @@ impl Svd {
     /// cost. Subset selection (Algorithm 2) pivots on `U` and reads the
     /// spectrum but never touches `V`, which makes this the hot-path entry
     /// point: for a tall `m`×`n` input it skips `O(n³)` accumulation flops
-    /// plus the `V` share of every QR-iteration rotation sweep.
+    /// plus the `V` share of every QR-iteration rotation sweep. A wide input
+    /// runs on `Aᵀ`, whose right factor is `U`, and skips that run's left
+    /// accumulation and left rotations instead.
     ///
     /// [`Svd::v`] panics and [`Svd::reconstruct`] returns an error on the
     /// result.
@@ -103,19 +105,19 @@ impl Svd {
         }
         pathrep_obs::counter_add("linalg.svd.calls", 1);
         let wk0 = pathrep_obs::work::thread_tally("svd");
-        let svd = if m >= n {
-            let (u, s, _) = golub_reinsch(a, false)?;
-            Svd { u, s, v: None }
+        // Wide input: A's left vectors are the transpose's right vectors,
+        // so the transpose's run skips its own left-hand side instead.
+        let (u, s) = if m >= n {
+            let (u, s, _) = golub_reinsch(a, true, false)?;
+            (u, s)
         } else {
-            // Wide input: A's left vectors are the transpose's right
-            // vectors, so nothing can be skipped — compute and drop.
-            let (v, s, u) = golub_reinsch(&a.transpose(), true)?;
-            let _ = v;
-            Svd {
-                u: u.expect("golub_reinsch always returns V when asked"),
-                s,
-                v: None,
-            }
+            let (_, s, u) = golub_reinsch(&a.transpose(), false, true)?;
+            (u, s)
+        };
+        let svd = Svd {
+            u: u.expect("golub_reinsch returns the requested factor"),
+            s,
+            v: None,
         };
         svd.record_health(m, n, pathrep_obs::work::thread_tally("svd").since(wk0));
         Ok(svd)
@@ -296,9 +298,8 @@ fn two_pass_col_update(
     // force the compiler to assume `s` aliases `data`).
     {
         let data_ro: &[f64] = data;
-        // ~2 flops per (row, column) touch; keep ≥ 2^14 flops per worker.
-        let min_cols = (1 << 14) / (2 * wvec.len().max(1)) + 1;
-        pathrep_par::for_each_unit_chunk_mut(&mut s, 1, min_cols, |first, schunk| {
+        let col_flops = 2 * wvec.len();
+        pathrep_par::for_each_unit_chunk_mut(&mut s, 1, col_flops, |first, schunk| {
             let len = schunk.len();
             for (dk, &wk) in wvec.iter().enumerate() {
                 let row = (w0 + dk) * stride + j0 + first;
@@ -315,8 +316,7 @@ fn two_pass_col_update(
     // the now-frozen `s`; per element it is the same single fused update as
     // the column-partitioned original, so results are bit-identical.
     let rows = &mut data[u0 * stride..(u0 + uvec.len()) * stride];
-    let min_rows = (1 << 14) / (2 * width) + 1;
-    pathrep_par::for_each_unit_chunk_mut(rows, stride, min_rows, |first, block| {
+    pathrep_par::for_each_unit_chunk_mut(rows, stride, 2 * width, |first, block| {
         for (dk, row) in block.chunks_exact_mut(stride).enumerate() {
             let uk = uvec[first + dk];
             for (&sj, x) in s.iter().zip(&mut row[j0..j1]) {
@@ -348,14 +348,13 @@ fn rotate_cols_batch(data: &mut [f64], stride: usize, rots: &[ColRotation]) {
         let nr = rots.len() as u64;
         pathrep_obs::work::record("svd", 6 * nr * rows, 32 * nr * rows, 2 * nr * rows);
     }
-    // ~6 flops per (row, rotation) pair; keep ≥ 2^14 flops per worker.
-    let min_rows = (1 << 14) / (6 * rots.len()) + 1;
+    let row_flops = 6 * rots.len();
     // Row-block size: consecutive rotations share a column, so applying
     // them one row at a time is a serial dependency chain. A block of rows
     // keeps ~16 independent chains in flight per rotation (pipelined FP)
     // while the block stays cache-resident across the whole sweep.
     let block_rows = 16 * stride;
-    pathrep_par::for_each_unit_chunk_mut(data, stride, min_rows, |_, chunk| {
+    pathrep_par::for_each_unit_chunk_mut(data, stride, row_flops, |_, chunk| {
         for block in chunk.chunks_mut(block_rows) {
             for &(jx, jz, c, s) in rots {
                 for row in block.chunks_exact_mut(stride) {
@@ -371,14 +370,21 @@ fn rotate_cols_batch(data: &mut [f64], stride: usize, rots: &[ColRotation]) {
 
 /// Golub–Reinsch SVD for `m ≥ n`: Householder bidiagonalization followed by
 /// implicit-shift QR on the bidiagonal form. Returns `(U, s, V)` with `U`
-/// `m`×`n`, `s` of length `n`, `V` `n`×`n` (`None` when `want_v` is false),
-/// sorted by decreasing singular value with non-negative values.
+/// `m`×`n` (`None` when `want_u` is false), `s` of length `n`, `V` `n`×`n`
+/// (`None` when `want_v` is false), sorted by decreasing singular value
+/// with non-negative values.
 ///
-/// `V` is write-only throughout: its accumulation and rotations never feed
-/// the `U`/`w`/`rv1` recurrences, so `want_v = false` yields bit-identical
-/// `U` and `s` while skipping all right-hand work.
+/// Both factors are write-only once the bidiagonal form exists: their
+/// accumulations and rotations never feed the `w`/`rv1` recurrences (nor
+/// each other), so dropping either one yields the other and `s` bit for
+/// bit while skipping all of its work. The Givens recurrence itself always
+/// runs; only applying its rotations to a dropped factor is skipped.
 #[allow(clippy::needless_range_loop)]
-fn golub_reinsch(a_in: &Matrix, want_v: bool) -> Result<(Matrix, Vec<f64>, Option<Matrix>)> {
+fn golub_reinsch(
+    a_in: &Matrix,
+    want_u: bool,
+    want_v: bool,
+) -> Result<(Option<Matrix>, Vec<f64>, Option<Matrix>)> {
     let (m, n) = a_in.shape();
     debug_assert!(m >= n);
     let mut a = a_in.clone();
@@ -451,11 +457,11 @@ fn golub_reinsch(a_in: &Matrix, want_v: bool) -> Result<(Matrix, Vec<f64>, Optio
                     pathrep_obs::work::record("svd", 4 * panel, 16 * panel, panel);
                     let (head, tail) = a.as_mut_slice().split_at_mut(l * n);
                     let row_i = &head[i * n..i * n + n];
-                    let min_rows = (1 << 14) / (4 * (n - l).max(1)) + 1;
+                    let row_flops = 4 * (n - l);
                     // Each row's dot is a serial FP-add chain; jamming four
                     // rows together runs four independent chains in flight
                     // without touching any row's own summation order.
-                    pathrep_par::for_each_unit_chunk_mut(tail, n, min_rows, |_, block| {
+                    pathrep_par::for_each_unit_chunk_mut(tail, n, row_flops, |_, block| {
                         let mut quads = block.chunks_exact_mut(4 * n);
                         for quad in &mut quads {
                             let (r0, rest) = quad.split_at_mut(n);
@@ -522,31 +528,33 @@ fn golub_reinsch(a_in: &Matrix, want_v: bool) -> Result<(Matrix, Vec<f64>, Optio
     }
 
     // --- Accumulation of left-hand transformations ---
-    for i in (0..n.min(m)).rev() {
-        let l = i + 1;
-        g = w[i];
-        for j in l..n {
-            a[(i, j)] = 0.0;
-        }
-        if g != 0.0 {
-            g = 1.0 / g;
-            // s_j = Σ_{k≥l} a[(k,i)]·a[(k,j)], then
-            // a[(k,j)] += (s_j/a_ii)·g·a[(k,i)] for k ≥ i; column i is
-            // read-only during the update, so gather it once.
-            let acol: Vec<f64> = (i..m).map(|k| a[(k, i)]).collect();
-            let a_ii = a[(i, i)];
-            two_pass_col_update(a.as_mut_slice(), n, l, n, l, &acol[1..], i, &acol, |s| {
-                (s / a_ii) * g
-            });
-            for j in i..m {
-                a[(j, i)] *= g;
+    if want_u {
+        for i in (0..n.min(m)).rev() {
+            let l = i + 1;
+            g = w[i];
+            for j in l..n {
+                a[(i, j)] = 0.0;
             }
-        } else {
-            for j in i..m {
-                a[(j, i)] = 0.0;
+            if g != 0.0 {
+                g = 1.0 / g;
+                // s_j = Σ_{k≥l} a[(k,i)]·a[(k,j)], then
+                // a[(k,j)] += (s_j/a_ii)·g·a[(k,i)] for k ≥ i; column i is
+                // read-only during the update, so gather it once.
+                let acol: Vec<f64> = (i..m).map(|k| a[(k, i)]).collect();
+                let a_ii = a[(i, i)];
+                two_pass_col_update(a.as_mut_slice(), n, l, n, l, &acol[1..], i, &acol, |s| {
+                    (s / a_ii) * g
+                });
+                for j in i..m {
+                    a[(j, i)] *= g;
+                }
+            } else {
+                for j in i..m {
+                    a[(j, i)] = 0.0;
+                }
             }
+            a[(i, i)] += 1.0;
         }
-        a[(i, i)] += 1.0;
     }
 
     // --- Diagonalization of the bidiagonal form ---
@@ -598,7 +606,9 @@ fn golub_reinsch(a_in: &Matrix, want_v: bool) -> Result<(Matrix, Vec<f64>, Optio
                     s = -f * h;
                     rots.push((nm, i, c, s));
                 }
-                rotate_cols_batch(a.as_mut_slice(), n, &rots);
+                if want_u {
+                    rotate_cols_batch(a.as_mut_slice(), n, &rots);
+                }
             }
             let z = w[k];
             if l == k {
@@ -662,7 +672,9 @@ fn golub_reinsch(a_in: &Matrix, want_v: bool) -> Result<(Matrix, Vec<f64>, Optio
             if let Some(v) = v.as_mut() {
                 rotate_cols_batch(v.as_mut_slice(), n, &rots_v);
             }
-            rotate_cols_batch(a.as_mut_slice(), n, &rots_a);
+            if want_u {
+                rotate_cols_batch(a.as_mut_slice(), n, &rots_a);
+            }
             rv1[l] = 0.0;
             rv1[k] = f;
             w[k] = x;
@@ -677,7 +689,7 @@ fn golub_reinsch(a_in: &Matrix, want_v: bool) -> Result<(Matrix, Vec<f64>, Optio
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| crate::vecops::cmp_nan_smallest(w[j], w[i]));
     let s_sorted: Vec<f64> = order.iter().map(|&i| w[i]).collect();
-    let u_sorted = a.select_cols(&order);
+    let u_sorted = want_u.then(|| a.select_cols(&order));
     let v_sorted = v.map(|v| v.select_cols(&order));
     Ok((u_sorted, s_sorted, v_sorted))
 }

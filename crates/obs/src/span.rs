@@ -93,9 +93,9 @@ pub fn adopt_span_parent(path: Option<String>) -> ParentSpanGuard {
 
 impl Drop for ParentSpanGuard {
     fn drop(&mut self) {
-        // Pool workers drop this guard at task end, inside the scoped
-        // worker's lifetime — the last chance to move the worker's
-        // pending work tallies into the registry before the thread dies.
+        // Pool workers drop this guard at task end, before the submitting
+        // call returns — the point at which the task's pending work
+        // tallies must reach the registry, since the worker then parks.
         // (Unconditional: workers record work even when no parent span
         // was adopted. A no-op when nothing is pending.)
         crate::work::flush();

@@ -104,9 +104,9 @@ pub struct WorkerTidGuard {
 }
 
 /// Assigns this thread a trace tid from the worker pool for the guard's
-/// lifetime. Scoped worker pools spawn fresh OS threads per parallel
-/// region; without pooling, each would burn a brand-new sequential tid and
-/// a trace viewer would show thousands of one-shot rows. Pool ids start at
+/// lifetime, one task at a time. Pool tasks then land on as many rows as
+/// ran concurrently, whichever threads ran them, instead of one row per
+/// thread that ever ran a task. Pool ids start at
 /// `WORKER_TID_BASE` (10^6) and are reused, so all pool work lands on a small
 /// stable set of rows. No-op (no pool lock taken) unless telemetry is on
 /// and the flight ring is recording.

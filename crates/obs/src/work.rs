@@ -24,8 +24,9 @@
 //! flushed into the global registry under a single lock acquisition:
 //!
 //! * when a [`crate::SpanGuard`] closes on the recording thread,
-//! * when a pool worker drops its [`crate::ParentSpanGuard`] (before the
-//!   `pathrep-par` scope joins, so no tally can outlive its thread), and
+//! * when a pool worker drops its [`crate::ParentSpanGuard`] at the end of
+//!   each task (before the `pathrep-par` call that submitted it returns,
+//!   so no tally is left pending on a parked worker), and
 //! * at the start of [`crate::Registry::snapshot`] (covering span-less
 //!   call paths on the snapshotting thread).
 //!

@@ -72,16 +72,15 @@ fn counters_accumulate_atomically_across_threads() {
     pathrep_obs::reset();
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 1_000;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for _ in 0..PER_THREAD {
                     pathrep_obs::counter_add("test.concurrent", 1);
                 }
             });
         }
-    })
-    .expect("no worker panics");
+    });
     let snap = pathrep_obs::registry().snapshot();
     let c = snap
         .counters

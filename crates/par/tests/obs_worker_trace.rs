@@ -21,6 +21,9 @@ const WORKER_TID_BASE: u64 = 1_000_000;
 /// Requested pool size; the pool caps it at the machine's parallelism.
 const THREADS: usize = 4;
 
+/// Grain that makes every unit worth a worker of its own.
+const SPLIT: usize = pathrep_par::MIN_FLOPS_PER_WORKER;
+
 fn setup() -> std::sync::MutexGuard<'static, ()> {
     let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     pathrep_obs::set_enabled(true);
@@ -56,7 +59,7 @@ fn worker_spans_nest_under_the_submitting_span() {
     let _guard = setup();
     {
         let _outer = pathrep_obs::span!("pool_outer");
-        let out = pathrep_par::map_indexed(16, 1, |i| {
+        let out = pathrep_par::map_indexed(16, SPLIT, |i| {
             let _inner = pathrep_obs::span!("pool_task");
             i * 3
         });
@@ -89,7 +92,7 @@ fn worker_trace_events_are_balanced_on_pooled_tids() {
     {
         let _outer = pathrep_obs::span!("trace_outer");
         for _ in 0..REGIONS {
-            pathrep_par::for_each_subrange(32, 1, |r| {
+            pathrep_par::for_each_subrange(32, SPLIT, |r| {
                 for _ in r {
                     let _s = pathrep_obs::span!("trace_unit");
                 }
@@ -116,9 +119,9 @@ fn worker_trace_events_are_balanced_on_pooled_tids() {
         assert_eq!(*d, 0, "tid {tid}: {d} span(s) left open");
     }
 
-    // Every unit recorded off the submitting thread ran on a spawned
-    // worker, which must carry a pooled tid; ten regions of freshly
-    // spawned threads must share at most `workers - 1` of them.
+    // Every unit recorded off the submitting thread ran on a pool
+    // worker, which must carry a pooled tid; ten regions must share at
+    // most `workers - 1` of them, as the caller runs one task itself.
     let caller_tid = records
         .iter()
         .find(|r| r.name == "trace_outer")
@@ -131,7 +134,7 @@ fn worker_trace_events_are_balanced_on_pooled_tids() {
         .collect();
     assert!(
         worker_tids.iter().all(|&t| t >= WORKER_TID_BASE),
-        "spawned workers must take pooled tids, got {worker_tids:?}"
+        "pool workers must take pooled tids, got {worker_tids:?}"
     );
     let workers = effective_workers();
     assert!(

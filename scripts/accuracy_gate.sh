@@ -12,8 +12,10 @@
 #
 # Finally `table1`, `table2 --fast`, `guardband`, `figure2`, `ablation_eta`
 # and `ablation_random_scale` rerun and must reproduce their committed
-# results/*.txt byte for byte (~55 s together on 2 vCPUs, ~25 s of it
-# `table1` and ~19 s `ablation_random_scale`).
+# results/*.txt byte for byte, and `table1` and `table2 --fast` run again at
+# PATHREP_THREADS=1 against the same files: the tables, too, must not depend
+# on the worker count (~45 s in all on 2 vCPUs: ~25 s for the six
+# diffs, ~16 s for the two single-worker reruns).
 #
 # Usage: scripts/accuracy_gate.sh [--self-test] [extra pathrep-doctor flags…]
 #   --self-test  inject a synthetic rank-drop regression and require the
@@ -113,3 +115,15 @@ for run in "table1:table1" "table2 --fast:table2_fast" "guardband:guardband" \
 done
 echo "accuracy_gate.sh: recorded results OK (table1, table2 --fast, guardband, figure2," \
     "ablation_eta and ablation_random_scale reproduce results/)"
+
+for run in "table1:table1" "table2 --fast:table2_fast"; do
+    cmd="${run%%:*}"
+    recorded="results/${run##*:}.txt"
+    # shellcheck disable=SC2086 # $cmd is a binary name plus its flags
+    if ! diff -u "$recorded" <(PATHREP_THREADS=1 ./target/release/$cmd); then
+        echo "accuracy_gate.sh: FAIL — \`$cmd\` at PATHREP_THREADS=1 no longer reproduces $recorded" >&2
+        exit 1
+    fi
+done
+echo "accuracy_gate.sh: table thread determinism OK (table1 and table2 --fast reproduce" \
+    "results/ at PATHREP_THREADS=1 too)"

@@ -67,16 +67,13 @@ fn matmul_and_matvec_are_thread_count_invariant() {
 #[test]
 fn pivoted_qr_is_thread_count_invariant() {
     let a = test_matrix(40, 24, 2.1);
-    let rhs: Vec<f64> = (0..40).map(|k| ((k as f64) * 0.17).sin() * 5.0).collect();
     let (s, p) = at_1_and_4(|| {
         let qr = Qr::compute_pivoted(&a).unwrap();
-        let sol = qr.solve_least_squares(&rhs).unwrap();
-        (qr.r(), qr.q_thin(), qr.perm().to_vec(), sol)
+        (qr.r(), qr.q_thin(), qr.perm().to_vec())
     });
     assert_eq!(s.2, p.2, "pivot order must not depend on the worker count");
     assert_bits_eq(s.0.as_slice(), p.0.as_slice(), "qr.r");
     assert_bits_eq(s.1.as_slice(), p.1.as_slice(), "qr.q_thin");
-    assert_bits_eq(&s.3, &p.3, "qr.solve_least_squares");
 }
 
 #[test]

@@ -90,6 +90,34 @@ proptest! {
     }
 }
 
+/// The same contract where the kernels really fan out: a pivoted QR and
+/// both SVD entry points on a matrix whose Householder and bidiagonal
+/// updates exceed two workers' break-even, so tasks run on pool workers
+/// and their tallies reach the registry through the workers' flushes.
+#[test]
+fn qr_and_svd_work_counters_match_at_one_and_two_workers() {
+    let (m, n) = (4800, 240);
+    // The first Householder update costs 2 flops per (row, column), the
+    // first bidiagonal row-space update 4.
+    let split = 2 * pathrep::par::MIN_FLOPS_PER_WORKER;
+    assert!(2 * m * (n - 1) >= split, "too small to fan out");
+    let a = test_matrix(m, n, 0.9);
+    let workload = || {
+        let _ = Qr::compute_pivoted(&a).unwrap();
+        let _ = Svd::compute(&a).unwrap();
+        let _ = Svd::compute_left(&a.transpose()).unwrap();
+    };
+    let _guard = LOCK.lock().unwrap();
+    pathrep::par::set_threads(1);
+    let t1 = work_counters_of(workload);
+    pathrep::par::set_threads(2);
+    let t2 = work_counters_of(workload);
+    pathrep::par::set_threads(0);
+    assert!(t1.get("work.qr_factor.flops").is_some_and(|&f| f > 0));
+    assert!(t1.get("work.svd.flops").is_some_and(|&f| f > 0));
+    assert_eq!(t1, t2, "work counters differ between 1 and 2 workers");
+}
+
 /// Every kernel instrumented with `work::record` must report nonzero work
 /// on a seeded end-to-end workload. Kernel list mirrors the attribution
 /// plane's vocabulary; `decompose_segments` is integer bookkeeping (zero
