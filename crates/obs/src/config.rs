@@ -60,10 +60,6 @@ pub const ENV_FLIGHT: &str = "PATHREP_OBS_FLIGHT";
 /// the serve stall watchdog; defaults to `flight_<pid>.json` in the
 /// working directory.
 pub const ENV_FLIGHT_DUMP: &str = "PATHREP_OBS_FLIGHT_DUMP";
-/// Declared latency objectives for the `/slo.json` endpoint, e.g.
-/// `serve.request_ns:p999<5ms:99.9` (comma-separated list; see
-/// [`crate::slo`]).
-pub const ENV_SLO: &str = "PATHREP_OBS_SLO";
 /// Stall-watchdog deadline in milliseconds for the `pathrep-serve`
 /// batcher heartbeat (registered here so the env-drift guard covers it):
 /// unset means the 5000 ms default, `0` disables the watchdog.
@@ -88,7 +84,6 @@ pub const ALL_ENV_VARS: &[&str] = &[
     ENV_SERVE_PROTO,
     ENV_FLIGHT,
     ENV_FLIGHT_DUMP,
-    ENV_SLO,
     ENV_SERVE_WATCHDOG_MS,
 ];
 
@@ -167,11 +162,6 @@ pub fn flight_dump_path() -> String {
         .unwrap_or_else(|| format!("flight_{}.json", std::process::id()))
 }
 
-/// The raw SLO declaration string (`PATHREP_OBS_SLO`), if any.
-pub fn slo_spec() -> Option<String> {
-    path_from_env(ENV_SLO)
-}
-
 /// The serve stall-watchdog deadline (`PATHREP_SERVE_WATCHDOG_MS`):
 /// `None` when disabled with `0`, unset/unparsable falls back to the
 /// 5000 ms default.
@@ -238,12 +228,12 @@ mod tests {
         for v in [
             ENV_OBS, ENV_JSON, ENV_TRACE, ENV_PROM, ENV_LEDGER, ENV_RUN_ID, ENV_HTTP,
             ENV_THREADS, ENV_SERVE_ADDR, ENV_SERVE_BATCH, ENV_SERVE_QUEUE, ENV_SERVE_CACHE,
-            ENV_SERVE_SHARDS, ENV_SERVE_PROTO, ENV_FLIGHT, ENV_FLIGHT_DUMP, ENV_SLO,
+            ENV_SERVE_SHARDS, ENV_SERVE_PROTO, ENV_FLIGHT, ENV_FLIGHT_DUMP,
             ENV_SERVE_WATCHDOG_MS,
         ] {
             assert!(ALL_ENV_VARS.contains(&v));
         }
-        assert_eq!(ALL_ENV_VARS.len(), 18);
+        assert_eq!(ALL_ENV_VARS.len(), 17);
     }
 
     #[test]

@@ -135,53 +135,6 @@ impl HdrHistogram {
         self.total += other.total;
     }
 
-    /// The counts this histogram accumulated *since* `earlier` (an older
-    /// snapshot of the same cumulative histogram): per-bucket saturating
-    /// subtraction, used by the sliding windows in [`crate::window`] to
-    /// turn cumulative per-epoch samples into per-window deltas. The
-    /// delta's `min`/`max` are conservatively taken from its occupied
-    /// bucket bounds (the exact extremes of just the window are not
-    /// recoverable from two cumulative states).
-    pub fn diff(&self, earlier: &HdrHistogram) -> HdrHistogram {
-        let mut counts = BTreeMap::new();
-        for (&idx, &c) in &self.counts {
-            let prev = earlier.counts.get(&idx).copied().unwrap_or(0);
-            if c > prev {
-                counts.insert(idx, c - prev);
-            }
-        }
-        let (min, max) = match (counts.keys().next(), counts.keys().next_back()) {
-            (Some(&first), Some(&last)) => (lower_edge(first), upper_edge(last)),
-            _ => (f64::INFINITY, f64::NEG_INFINITY),
-        };
-        HdrHistogram {
-            counts,
-            nonpositive: self.nonpositive.saturating_sub(earlier.nonpositive),
-            sum: (self.sum - earlier.sum).max(0.0),
-            min,
-            max,
-            total: self.total.saturating_sub(earlier.total),
-        }
-    }
-
-    /// Estimated number of recorded values strictly above `threshold`:
-    /// full buckets above it count whole, the straddling bucket
-    /// contributes linearly. Within the ~3 % bucket width of the exact
-    /// answer — good enough for error-budget burn rates.
-    pub fn count_above(&self, threshold: f64) -> f64 {
-        let mut above = 0.0;
-        for (&idx, &c) in &self.counts {
-            let lo = lower_edge(idx);
-            let hi = upper_edge(idx);
-            if lo >= threshold {
-                above += c as f64;
-            } else if hi > threshold {
-                above += c as f64 * (hi - threshold) / (hi - lo);
-            }
-        }
-        above
-    }
-
     /// Materializes the occupied buckets as a plain [`HistogramSnapshot`]
     /// named `name`. Each occupied bucket contributes its exact bounds as
     /// edges (with zero-count gap buckets between non-adjacent occupied
@@ -306,34 +259,6 @@ mod tests {
         // Non-positives sit in the (-inf, 0] bucket.
         assert_eq!(snap.edges[0], 0.0);
         assert_eq!(snap.counts[0], 2);
-    }
-
-    #[test]
-    fn diff_recovers_window_deltas_and_count_above_splits_buckets() {
-        let mut earlier = HdrHistogram::new();
-        for _ in 0..100 {
-            earlier.record(1.0e6);
-        }
-        let mut later = earlier.clone();
-        for _ in 0..50 {
-            later.record(1.0e6);
-        }
-        for _ in 0..5 {
-            later.record(9.0e6);
-        }
-        let delta = later.diff(&earlier);
-        assert_eq!(delta.count(), 55);
-        let p50 = delta.quantile(0.5);
-        assert!((p50 - 1.0e6).abs() / 1.0e6 < 0.05, "p50 = {p50}");
-        // All 5 slow values sit above 5e6; the 50 fast ones below.
-        let above = delta.count_above(5.0e6);
-        assert!((above - 5.0).abs() < 0.5, "above = {above}");
-        assert_eq!(delta.count_above(1.0e12), 0.0);
-        assert!(delta.count_above(0.5e6) >= 54.9);
-        // Diffing a histogram against itself is empty.
-        let zero = later.diff(&later);
-        assert_eq!(zero.count(), 0);
-        assert_eq!(zero.quantile(0.5), 0.0);
     }
 
     #[test]

@@ -6,18 +6,10 @@
 //! std-only HTTP/1.1 listener on a background thread and answers
 //!
 //! * `GET /metrics` — the **live** registry snapshot in Prometheus text
-//!   exposition format (same renderer as `PATHREP_OBS_PROM`), plus the
-//!   sliding-window `pathrep_*_rate` families ([`crate::window`]) and
-//!   trace exemplars in OpenMetrics suffix syntax,
+//!   exposition format 0.0.4 (same renderer as `PATHREP_OBS_PROM`),
 //! * `GET /healthz` — `200 ok` liveness probe,
 //! * `GET /snapshot.json` — the live snapshot as JSON
-//!   ([`crate::Snapshot::to_json`]), exemplars included,
-//! * `GET /slo.json` — declared objectives (`PATHREP_OBS_SLO`) evaluated
-//!   per window with error-budget burn rates ([`crate::slo`]).
-//!
-//! Starting the plane also starts the 1 Hz window sampler
-//! ([`crate::window::ensure_sampler`]) — a process with a scrape endpoint
-//! always has windows to serve.
+//!   ([`crate::Snapshot::to_json`]).
 //!
 //! [`start_from_env`] wires it to `PATHREP_OBS_HTTP=<addr>`
 //! (`127.0.0.1:0` binds an ephemeral port; the caller prints the bound
@@ -63,7 +55,6 @@ impl HttpServer {
 /// Returns the bind error; the caller decides whether a dead telemetry
 /// plane is fatal (the daemon treats it as a warning).
 pub fn start(addr: &str) -> std::io::Result<HttpServer> {
-    crate::window::ensure_sampler();
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
     std::thread::Builder::new()
@@ -115,19 +106,11 @@ fn handle(mut stream: TcpStream) -> std::io::Result<()> {
     match target {
         "/healthz" => respond(&mut stream, 200, "text/plain", "ok\n"),
         "/metrics" => {
-            let mut body = crate::prom::render_prometheus(&crate::registry().snapshot());
-            body.push_str(&crate::prom::render_windowed(&crate::window::read()));
+            let body = crate::prom::render_prometheus(&crate::registry().snapshot());
             respond(&mut stream, 200, "text/plain; version=0.0.4", &body)
         }
         "/snapshot.json" => {
             let body = crate::registry().snapshot().to_json();
-            respond(&mut stream, 200, "application/json", &body)
-        }
-        "/slo.json" => {
-            let body = crate::slo::render_report(
-                &crate::slo::objectives_from_env(),
-                &crate::window::read(),
-            );
             respond(&mut stream, 200, "application/json", &body)
         }
         _ => respond(&mut stream, 404, "text/plain", "unknown path\n"),

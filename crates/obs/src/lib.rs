@@ -51,9 +51,6 @@
 //!   stall, request, or at [`report`] under `PATHREP_OBS_TRACE`.
 //! * `PATHREP_OBS_FLIGHT_DUMP=<path>` — where panic-hook/watchdog flight
 //!   dumps land (default `flight_<pid>.json`).
-//! * `PATHREP_OBS_SLO=<spec>` — declared latency objectives for the
-//!   `/slo.json` endpoint, e.g. `serve.request_ns:p999<5ms:99.9`; see
-//!   [`slo`].
 //!
 //! All parsing of these variables lives in [`config`]; export failures
 //! warn on stderr and never abort the run.
@@ -84,18 +81,15 @@ pub mod ledger;
 pub mod prom;
 mod registry;
 pub mod selftime;
-pub mod slo;
 mod snapshot;
 mod span;
 pub mod trace;
-pub mod window;
 pub mod work;
 
 pub use hdr::HdrHistogram;
-pub use registry::{registry, Event, Level, Registry, EXEMPLAR_K, MAX_EVENTS};
+pub use registry::{registry, Event, Level, Registry, MAX_EVENTS};
 pub use snapshot::{
-    CounterSnapshot, EventSnapshot, ExemplarSnapshot, GaugeSnapshot, HistogramSnapshot,
-    Snapshot, SpanNode,
+    CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot, SpanNode,
 };
 pub use span::{adopt_span_parent, current_span_path, ParentSpanGuard, SpanGuard};
 
@@ -156,8 +150,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
 /// Records `value` into the log-bucketed HDR histogram `name` (~2 %
 /// relative-error buckets at any scale, no preconfigured edges; see
 /// [`hdr`]), so residuals spanning decades and tail latencies
-/// (p999/p9999) both resolve. A recording made under a trace context may
-/// be kept as one of the histogram's [`EXEMPLAR_K`] slowest exemplars.
+/// (p999/p9999) both resolve.
 #[inline]
 pub fn histogram_record(name: &'static str, value: f64) {
     if enabled() {
@@ -194,13 +187,12 @@ pub fn info(name: &'static str, message: impl FnOnce() -> String) {
 }
 
 /// Clears every metric in the global registry, the ledger buffer, the
-/// flight ring, the window ring and the calling thread's pending work
-/// tallies (tests and long-lived embedders).
+/// flight ring and the calling thread's pending work tallies (tests and
+/// long-lived embedders).
 pub fn reset() {
     registry().reset();
     ledger::reset();
     flight::reset();
-    window::reset();
     work::reset_thread();
 }
 

@@ -2,18 +2,12 @@
 
 use crate::hdr::HdrHistogram;
 use crate::snapshot::{
-    CounterSnapshot, EventSnapshot, ExemplarSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot,
+    CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot,
 };
-use crate::trace::TraceContext;
 use crate::work::WorkTally;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-
-/// Trace exemplars retained per HDR histogram: the K slowest recordings
-/// that carried a trace context keep their `trace_id`, so a tail-latency
-/// outlier in a bucket is one `stitch-trace` away from its timeline.
-pub const EXEMPLAR_K: usize = 4;
 
 /// Cap on stored events so a pathological loop cannot grow memory
 /// unboundedly; later events only bump the drop counter.
@@ -67,26 +61,10 @@ struct Inner {
     spans: BTreeMap<String, SpanStats>,
     events: Vec<Event>,
     events_dropped: u64,
-    /// Per-histogram top-[`EXEMPLAR_K`] slowest observations that
-    /// carried a trace context, sorted descending by value. Drained by
-    /// the window sampler each epoch (the window ring then owns them).
-    exemplars: BTreeMap<&'static str, Vec<(f64, TraceContext)>>,
     /// Deterministic kernel work tallies (see [`crate::work`]), keyed by
     /// kernel name; materialized as `work.<kernel>.*` counters in
     /// snapshots.
     work: BTreeMap<&'static str, WorkTally>,
-}
-
-fn insert_exemplar(
-    list: &mut Vec<(f64, TraceContext)>,
-    value: f64,
-    ctx: TraceContext,
-) {
-    let pos = list.partition_point(|&(v, _)| v > value);
-    if pos < EXEMPLAR_K {
-        list.insert(pos, (value, ctx));
-        list.truncate(EXEMPLAR_K);
-    }
 }
 
 /// Global, thread-safe store of every recorded metric.
@@ -127,16 +105,12 @@ impl Registry {
     }
 
     pub(crate) fn histogram_record_slow(&self, name: &'static str, value: f64) {
-        // Read the thread-local trace context before taking the lock.
-        let ctx = crate::trace::current_context();
-        let mut g = self.inner.lock();
-        g.histograms
+        self.inner
+            .lock()
+            .histograms
             .entry(name)
             .or_insert_with(HdrHistogram::new)
             .record(value);
-        if let Some(ctx) = ctx {
-            insert_exemplar(g.exemplars.entry(name).or_default(), value, ctx);
-        }
     }
 
     pub(crate) fn span_record(&self, path: &str, duration_ns: u64) {
@@ -179,45 +153,6 @@ impl Registry {
     pub fn reset(&self) {
         let mut g = self.inner.lock();
         *g = Inner::default();
-    }
-
-    /// Takes a cumulative sample of the windowable metrics — counter
-    /// values and histograms — for the sliding-window ring (see
-    /// [`crate::window`]). When `drain_exemplars` is set (the 1 Hz epoch
-    /// sampler), the current exemplar set moves into the sample so each
-    /// ring entry owns that epoch's exemplars; read-side captures leave
-    /// them in place.
-    pub(crate) fn window_capture(&self, drain_exemplars: bool) -> crate::window::WindowCapture {
-        let mut g = self.inner.lock();
-        let exemplars = if drain_exemplars {
-            std::mem::take(&mut g.exemplars)
-        } else {
-            g.exemplars.clone()
-        };
-        crate::window::WindowCapture {
-            at_ns: crate::trace::now_ns(),
-            counters: g
-                .counters
-                .iter()
-                .map(|(&name, &v)| (name.to_owned(), v))
-                .collect(),
-            hdr: g
-                .histograms
-                .iter()
-                .map(|(&name, h)| (name.to_owned(), h.clone()))
-                .collect(),
-            exemplars: exemplars
-                .iter()
-                .flat_map(|(&name, list)| {
-                    list.iter().map(move |&(value, ctx)| ExemplarSnapshot {
-                        histogram: name.to_owned(),
-                        value,
-                        trace_id: ctx.trace_id,
-                        request_seq: ctx.request_seq,
-                    })
-                })
-                .collect(),
-        }
     }
 
     /// Takes a consistent point-in-time copy of every metric as plain
@@ -276,32 +211,13 @@ impl Registry {
                 message: e.message.clone(),
             })
             .collect();
-        let spans = crate::snapshot::build_span_tree(&g.spans);
-        let current: Vec<ExemplarSnapshot> = g
-            .exemplars
-            .iter()
-            .flat_map(|(&name, list)| {
-                list.iter().map(move |&(value, ctx)| ExemplarSnapshot {
-                    histogram: name.to_owned(),
-                    value,
-                    trace_id: ctx.trace_id,
-                    request_seq: ctx.request_seq,
-                })
-            })
-            .collect();
-        let events_dropped = g.events_dropped;
-        drop(g);
-        // Merge in the exemplars drained into the window ring (taken
-        // outside the registry lock — the window has its own).
-        let exemplars = crate::window::merged_exemplars(current);
         Snapshot {
-            spans,
+            spans: crate::snapshot::build_span_tree(&g.spans),
             counters,
             gauges,
             histograms,
             events,
-            events_dropped,
-            exemplars,
+            events_dropped: g.events_dropped,
         }
     }
 }

@@ -94,7 +94,6 @@ mod tests {
             histograms: vec![],
             events: vec![],
             events_dropped: 0,
-            exemplars: vec![],
         };
         let prof = profile(&snap);
         assert_eq!(prof.len(), 3);
@@ -116,7 +115,6 @@ mod tests {
             histograms: vec![],
             events: vec![],
             events_dropped: 0,
-            exemplars: vec![],
         };
         assert_eq!(profile(&snap)[0].self_ns, 0);
     }

@@ -131,21 +131,6 @@ pub struct EventSnapshot {
     pub message: String,
 }
 
-/// A trace exemplar: one slow observation of an HDR histogram that kept
-/// its trace context, linking a tail-latency bucket back to the exact
-/// request that landed there.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExemplarSnapshot {
-    /// Name of the HDR histogram the observation landed in.
-    pub histogram: String,
-    /// The recorded value (nanoseconds for latency histograms).
-    pub value: f64,
-    /// End-to-end request id carried by the recording thread.
-    pub trace_id: u64,
-    /// Request sequence number within the originating client.
-    pub request_seq: u64,
-}
-
 /// A consistent point-in-time copy of every metric in the registry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
@@ -162,11 +147,6 @@ pub struct Snapshot {
     pub events: Vec<EventSnapshot>,
     /// Events discarded after the cap was hit.
     pub events_dropped: u64,
-    /// Top-K slowest recent observations per HDR histogram that carried a
-    /// trace context (merged over the ~60 s window ring; see
-    /// [`crate::window`]). Empty on snapshots predating exemplars —
-    /// `from_json` parses the field leniently.
-    pub exemplars: Vec<ExemplarSnapshot>,
 }
 
 /// Assembles the flat path → stats map into a forest. A child path whose
@@ -263,16 +243,6 @@ impl Snapshot {
                     h.quantile(0.50),
                     h.quantile(0.95),
                     h.quantile(0.99),
-                );
-            }
-        }
-        if !self.exemplars.is_empty() {
-            out.push_str("exemplars:\n");
-            for x in &self.exemplars {
-                let _ = writeln!(
-                    out,
-                    "  {:<44} {:.3e} trace_id={} seq={}",
-                    x.histogram, x.value, x.trace_id, x.request_seq
                 );
             }
         }
@@ -399,28 +369,6 @@ impl Snapshot {
                 "events_dropped".into(),
                 JsonValue::Number(self.events_dropped as f64),
             ),
-            (
-                "exemplars".into(),
-                JsonValue::Array(
-                    self.exemplars
-                        .iter()
-                        .map(|x| {
-                            JsonValue::Object(vec![
-                                (
-                                    "histogram".into(),
-                                    JsonValue::String(x.histogram.clone()),
-                                ),
-                                ("value".into(), JsonValue::Number(x.value)),
-                                ("trace_id".into(), JsonValue::Number(x.trace_id as f64)),
-                                (
-                                    "request_seq".into(),
-                                    JsonValue::Number(x.request_seq as f64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ])
     }
 
@@ -488,23 +436,6 @@ impl Snapshot {
                 })
                 .collect::<Result<_, String>>()?,
             events_dropped: v.field("events_dropped")?.number()? as u64,
-            // Lenient: snapshots written before exemplars existed must
-            // keep parsing, so a missing field is just an empty list.
-            exemplars: match v.field("exemplars") {
-                Err(_) => Vec::new(),
-                Ok(field) => field
-                    .array()?
-                    .iter()
-                    .map(|x| {
-                        Ok(ExemplarSnapshot {
-                            histogram: x.field("histogram")?.string()?,
-                            value: x.field("value")?.number()?,
-                            trace_id: x.field("trace_id")?.number()? as u64,
-                            request_seq: x.field("request_seq")?.number()? as u64,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?,
-            },
         })
     }
 }

@@ -68,8 +68,8 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Monotonic nanoseconds since the trace epoch (the one time axis of
-/// flight records and window samples).
+/// Monotonic nanoseconds since the trace epoch (the time axis of flight
+/// records).
 pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
 }

@@ -197,6 +197,64 @@ fn hdr_histograms_flow_through_registry_and_prom() {
     pathrep_obs::reset();
 }
 
+/// `/metrics` is served as `text/plain; version=0.0.4`, which has no
+/// exemplar or comment-suffix syntax: every line is a `# TYPE` line or a
+/// bare `name[{labels}] value` sample, even after traced recordings.
+#[test]
+fn traced_recordings_keep_prometheus_text_strict_0_0_4() {
+    let _g = lock();
+    pathrep_obs::reset();
+    pathrep_obs::set_enabled(true);
+    for seq in 0..20u64 {
+        let _ctx = pathrep_obs::trace::set_context(pathrep_obs::trace::TraceContext {
+            trace_id: 9000 + seq,
+            request_seq: seq,
+        });
+        let _s = pathrep_obs::span!("serve.request");
+        pathrep_obs::histogram_record("serve.request_ns", (1 + seq) as f64 * 1.0e5);
+    }
+    let prom = pathrep_obs::prom::render_prometheus(&pathrep_obs::registry().snapshot());
+    pathrep_obs::reset();
+
+    let is_name = |s: &str| {
+        let mut chars = s.chars();
+        chars
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    };
+    let is_value = |s: &str| matches!(s, "+Inf" | "-Inf" | "NaN") || s.parse::<f64>().is_ok();
+    assert!(prom.contains("pathrep_serve_request_ns_count 20\n"), "{prom}");
+    for line in prom.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let fields: Vec<&str> = rest.split(' ').collect();
+            assert!(
+                fields.len() == 2
+                    && is_name(fields[0])
+                    && ["counter", "gauge", "histogram"].contains(&fields[1]),
+                "malformed TYPE line: {line}"
+            );
+            continue;
+        }
+        // `name{labels} value` or `name value`, nothing after the value.
+        // Label values here are `le` edges and span paths, neither of
+        // which contains `} `.
+        let (series, value) = match line.split_once('{') {
+            Some((name, rest)) => {
+                let (_labels, value) = rest
+                    .split_once("} ")
+                    .unwrap_or_else(|| panic!("unterminated labels: {line}"));
+                (name, value)
+            }
+            None => line
+                .split_once(' ')
+                .unwrap_or_else(|| panic!("sample without a value: {line}")),
+        };
+        assert!(is_name(series), "bad metric name: {line}");
+        assert!(is_value(value), "trailing text after the value: {line}");
+    }
+}
+
 #[test]
 fn quantile_edge_cases_are_exact() {
     // Empty histogram: every quantile is 0.

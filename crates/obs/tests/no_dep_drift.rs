@@ -111,7 +111,7 @@ fn source_modules_stay_on_the_vendored_set() {
         }
     }
     // The crate is lib.rs + config/flight/hdr/http/json/ledger/prom/
-    // registry/selftime/slo/snapshot/span/trace/window/work.
+    // registry/selftime/snapshot/span/trace/work.
     assert!(
         checked >= 9,
         "expected at least 9 source modules, scanned {checked} — \

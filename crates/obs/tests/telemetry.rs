@@ -139,8 +139,17 @@ fn json_snapshot_round_trips_exactly() {
     pathrep_obs::warn("w.unconverged", || "π \"quoted\"\nsecond line\t".to_owned());
     pathrep_obs::info("i.note", || "plain".to_owned());
     let snap = pathrep_obs::registry().snapshot();
-    let back = Snapshot::from_json(&snap.to_json()).expect("well-formed JSON");
+    let json = snap.to_json();
+    let back = Snapshot::from_json(&json).expect("well-formed JSON");
     assert_eq!(back, snap, "JSON round-trip must be lossless");
+    // Fields are read by name: snapshots written with the retired
+    // `exemplars` section still parse.
+    let older = format!(
+        "{},\"exemplars\":[{{\"histogram\":\"h.resid\",\"value\":1e-7,\
+         \"trace_id\":9000,\"request_seq\":3}}]}}",
+        json.strip_suffix('}').expect("JSON object")
+    );
+    assert_eq!(Snapshot::from_json(&older).expect("older JSON parses"), snap);
     // The text rendering carries every section.
     let text = snap.render();
     for section in ["spans:", "counters:", "gauges:", "histograms:", "events:"] {

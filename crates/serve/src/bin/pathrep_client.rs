@@ -7,9 +7,8 @@
 //! pathrep-client predict  <addr> <model-id> <v1,v2,...>
 //! pathrep-client stats    <addr>
 //! pathrep-client shutdown <addr>
-//! pathrep-client scrape   <addr> </metrics|/healthz|/snapshot.json|/slo.json>
+//! pathrep-client scrape   <addr> </metrics|/healthz|/snapshot.json>
 //!                         [--timeout-ms T]
-//! pathrep-client slo      <addr> [--timeout-ms T]
 //! pathrep-client dump-flight <addr> [out-path]
 //! pathrep-client fault    <addr> <slowdown-ms>
 //! pathrep-client check-flight <flight-dump.json>
@@ -35,15 +34,14 @@
 //! uses for `serve.request_ns`.
 //!
 //! `scrape` is a dependency-free `curl` stand-in for the daemon's live
-//! telemetry endpoints (`PATHREP_OBS_HTTP`); both it and `slo` take
-//! `--timeout-ms` (default 5000) as connect *and* read/write deadlines,
-//! so a hung daemon fails a probe instead of wedging it. `slo` renders
-//! `/slo.json` as one line per objective×window with the error-budget
-//! burn rate. `dump-flight` asks the daemon to write its flight-recorder
-//! ring; `fault` injects a batcher slowdown (daemon must run with
-//! `--allow-fault`); `check-flight` validates a flight dump off-line —
-//! parseable Chrome JSON with balanced B/E nesting per thread — and exits
-//! nonzero otherwise, so gate scripts need no JSON tooling on the host.
+//! telemetry endpoints (`PATHREP_OBS_HTTP`); it takes `--timeout-ms`
+//! (default 5000) as connect *and* read/write deadlines, so a hung
+//! daemon fails a probe instead of wedging it. `dump-flight` asks the
+//! daemon to write its flight-recorder ring; `fault` injects a batcher
+//! slowdown (daemon must run with `--allow-fault`); `check-flight`
+//! validates a flight dump off-line — parseable Chrome JSON with balanced
+//! B/E nesting per thread — and exits nonzero otherwise, so gate scripts
+//! need no JSON tooling on the host.
 //! `stitch-trace` merges Chrome traces from both processes into one file
 //! correlated by the shared `trace_id`s the wire protocol propagates.
 
@@ -62,7 +60,7 @@ fn die(msg: &str) -> ! {
 fn usage() -> ! {
     eprintln!(
         "usage: pathrep-client \
-         <build-artifact|load|predict|stats|shutdown|scrape|slo|dump-flight|\
+         <build-artifact|load|predict|stats|shutdown|scrape|dump-flight|\
          fault|check-flight|stitch-trace|loadgen> …\n\
          (see the crate docs for per-command arguments)"
     );
@@ -78,7 +76,6 @@ fn main() {
         Some("stats") => stats(&args),
         Some("shutdown") => shutdown(&args),
         Some("scrape") => scrape(&args),
-        Some("slo") => slo(&args),
         Some("dump-flight") => dump_flight(&args),
         Some("fault") => fault(&args),
         Some("check-flight") => check_flight(args.get(1).unwrap_or_else(|| usage())),
@@ -234,66 +231,6 @@ fn scrape(args: &[String]) {
     print!("{body}");
     if status != 200 {
         die(&format!("GET {path} returned HTTP {status}"));
-    }
-}
-
-/// Fetches `/slo.json` and prints one line per objective×window with the
-/// error-budget burn rate, e.g.
-/// `slo serve.request_ns p999<5000000ns target=99.9% window=1s count=812
-/// quantile=1.2ms burn=0.31 ok`. Gate scripts grep the `burn=`/`BREACH`
-/// tokens; the command always exits 0 on a well-formed report.
-fn slo(args: &[String]) {
-    let addr = args.get(1).unwrap_or_else(|| usage());
-    let timeout = timeout_flag(args, 2);
-    let (status, body) = http_get(addr, "/slo.json", timeout);
-    if status != 200 {
-        die(&format!("GET /slo.json returned HTTP {status}"));
-    }
-    let v = pathrep_obs::json::parse(&body)
-        .unwrap_or_else(|e| die(&format!("/slo.json is not valid JSON: {e}")));
-    let objectives = v
-        .field("objectives")
-        .and_then(|f| f.array().map(<[pathrep_obs::json::JsonValue]>::to_vec))
-        .unwrap_or_else(|e| die(&format!("/slo.json has no objectives array: {e}")));
-    if objectives.is_empty() {
-        println!("pathrep-client: slo — no objectives declared (set PATHREP_OBS_SLO)");
-        return;
-    }
-    for obj in &objectives {
-        let s = |name: &str| {
-            obj.field(name)
-                .and_then(|f| f.string())
-                .unwrap_or_else(|e| die(&format!("malformed objective: {e}")))
-        };
-        let metric = s("metric");
-        let objective = s("objective");
-        let target = obj
-            .field("target_pct")
-            .and_then(|f| f.number())
-            .unwrap_or_else(|e| die(&format!("malformed objective: {e}")));
-        let windows = obj
-            .field("windows")
-            .and_then(|f| f.array().map(<[pathrep_obs::json::JsonValue]>::to_vec))
-            .unwrap_or_default();
-        for w in &windows {
-            let num = |name: &str| w.field(name).and_then(|f| f.number()).unwrap_or(0.0);
-            let label = w
-                .field("window")
-                .and_then(|f| f.string())
-                .unwrap_or_else(|_| "?".into());
-            let ok = match w.field("ok") {
-                Ok(pathrep_obs::json::JsonValue::Bool(b)) => *b,
-                _ => true,
-            };
-            println!(
-                "pathrep-client: slo {metric} {objective} target={target}% \
-                 window={label} count={} quantile={:.1}us burn={:.3} {}",
-                num("count") as u64,
-                num("quantile_ns") / 1_000.0,
-                num("burn_rate"),
-                if ok { "ok" } else { "BREACH" }
-            );
-        }
     }
 }
 

@@ -72,7 +72,7 @@ pub struct ServerConfig {
     /// quiet this long, the watchdog warns and dumps the flight recorder.
     pub watchdog_ms: Option<u64>,
     /// Whether `set_fault` requests are honoured (`--allow-fault`; the
-    /// observability gate uses it to provoke SLO breaches and stalls).
+    /// observability gate uses it to provoke batcher stalls).
     pub allow_fault: bool,
     /// Panic inside the request span once this many requests have been
     /// served (`--inject-panic N`; gate-only — proves the panic hook gets

@@ -775,9 +775,9 @@ fn shard_batcher(
         let fault_ms = shared.fault_ms.load(Ordering::Relaxed);
         if fault_ms > 0 {
             // Injected sickness (`set_fault`): stall before serving so
-            // request latency inflates (SLO breach) and, with a slowdown
-            // past the watchdog deadline, the heartbeat goes stale while
-            // rows queue behind this batch.
+            // request latency inflates and, with a slowdown past the
+            // watchdog deadline, the heartbeat goes stale while rows
+            // queue behind this batch.
             std::thread::sleep(std::time::Duration::from_millis(fault_ms));
         }
         let rows = batch.len();

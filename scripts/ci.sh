@@ -6,14 +6,17 @@
 #                     thread-count determinism and work-fact cross-checks
 #   serve_gate.sh     prediction-server contract (batching, artifacts,
 #                     JSON + binary protocol soaks)
-#   obs_gate.sh       observability-plane contract (scrape, ledger, spans)
+#   obs_gate.sh       failure forensics (panic flight dump, stall watchdog,
+#                     client + daemon traces stitched by trace_id)
 #   large_gate.sh     sparse/sketched *_large workloads under a wall
 #                     timeout
 #
 # Each gate's full output is captured to a temp log and dumped only when
-# that gate fails; the summary stays one line per gate. Exits non-zero
-# when any gate fails (all gates still run — one report per push, not a
-# fail-fast scavenger hunt).
+# that gate fails; the summary stays one line per gate, plus one line
+# with the repo's code-line count (every *.rs and *.sh file under crates,
+# src, tests, examples, vendor and scripts). Exits non-zero when any gate
+# fails (all gates still run — one report per push, not a fail-fast
+# scavenger hunt).
 #
 # Usage: scripts/ci.sh
 set -uo pipefail
@@ -38,6 +41,10 @@ for gate in "${gates[@]}"; do
         failures=$((failures + 1))
     fi
 done
+
+lines="$(find crates src tests examples vendor scripts \( -name '*.rs' -o -name '*.sh' \) \
+    -not -path '*/target/*' | xargs cat | wc -l)"
+echo "ci.sh: code lines $lines"
 
 if [ "$failures" -gt 0 ]; then
     echo "ci.sh: FAIL — $failures gate(s) failed" >&2
